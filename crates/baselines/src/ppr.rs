@@ -19,6 +19,11 @@ pub fn ppr(g: &Graph, q: &[NodeId]) -> Result<Connector> {
 
 /// Runs the `ppr` baseline with explicit RWR parameters.
 pub fn ppr_with_params(g: &Graph, q: &[NodeId], params: RwrParams) -> Result<Connector> {
+    // The walk indexes its restart vector by query id: reject
+    // out-of-range ids before it runs.
+    for &v in q {
+        g.check_node(v)?;
+    }
     let scores = random_walk_with_restart(g, q, params);
     greedy_connect(g, q, &scores)
 }
@@ -35,6 +40,12 @@ mod tests {
         let c = ppr(&g, &q).unwrap();
         assert!(c.contains_all(&q));
         assert!(c.len() < 34, "ppr should not need the whole graph");
+    }
+
+    #[test]
+    fn out_of_range_query_is_an_error() {
+        let g = karate_club();
+        assert!(ppr(&g, &[0, 99_999]).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Ablation study (extension beyond the paper, DESIGN.md §7).
+//! Ablation study (an extension beyond the paper).
 //!
 //! Quantifies the design choices of Algorithm 1 on small/medium graphs:
 //!

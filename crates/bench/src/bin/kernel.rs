@@ -1,37 +1,34 @@
 //! `kernel` — micro-benchmark of the distance kernel, emitting
 //! `BENCH_kernel.json`.
 //!
-//! Eight comparisons, each isolating one layer of the cache-aware kernel
+//! Seven comparisons, each isolating one layer of the cache-aware kernel
 //! refactor:
 //!
 //! 1. **per-source vs multi-source BFS** — 64 single-source sweeps
 //!    against one 64-lane [`MsBfsWorkspace`] sweep (same sources);
 //! 2. **plain vs direction-optimizing BFS** — top-down only against the
 //!    α/β-switching kernel, same sources;
-//! 3. **original vs degree-ordered layout** — the same multi-source
-//!    sweep on the as-generated CSR and on
-//!    [`Graph::degree_ordered`]'s hub-first relabeling;
-//! 4. **cache-cold vs cache-hot solve** — `ws-q` engine solves over a
+//! 3. **cache-cold vs cache-hot solve** — `ws-q` engine solves over a
 //!    query workload, first pass cold, second pass replayed from the
 //!    engine's solve cache (p50 of each);
-//! 5. **per-root vs batched `ws-q` root sweep** (`wsq_batched`) — the
+//! 4. **per-root vs batched `ws-q` root sweep** (`wsq_batched`) — the
 //!    BFS work Algorithm 1 pays before its λ sweeps for a |Q| = 16
 //!    query: a standalone feasibility BFS plus one distance+parent BFS
 //!    per root (the pre-batching solver) against the solver's
 //!    [`batched_root_distances`] (⌈|Q|/64⌉ shared CSR sweeps;
 //!    feasibility rides lane 0, and parents are derived on demand from
 //!    the distances, so the batched side pays neither up front);
-//! 6. **sequential vs batched oracle construction** (`oracle_build`) —
+//! 5. **sequential vs batched oracle construction** (`oracle_build`) —
 //!    64 hub landmarks built by `k` sequential BFS runs
 //!    ([`LandmarkOracle::build_sequential`]) against the one-sweep
 //!    multi-source build ([`LandmarkOracle::build`]);
-//! 7. **per-source Dijkstra vs batched delta-stepping**
+//! 6. **per-source Dijkstra vs batched delta-stepping**
 //!    (`delta_stepping`) — the same 64 sources on the weighted twin of
 //!    the bench graph (`wba:` hash weights), 64 pooled
 //!    [`DijkstraWorkspace`] runs against one
 //!    [`MsDeltaWorkspace`] bucket sweep, distances asserted
 //!    bit-identical before timing;
-//! 8. **sequential vs batched weighted oracle** (`weighted_oracle`) —
+//! 7. **sequential vs batched weighted oracle** (`weighted_oracle`) —
 //!    the `oracle_build` comparison on the weighted graph, where both
 //!    sides dispatch to the delta-stepping kernels.
 //!
@@ -193,36 +190,7 @@ fn main() {
     });
     let direction_cmp = comparison("bfs:direction_optimizing", plain_ms, dirop_ms);
 
-    // 3. Arbitrary vs degree-ordered layout. Barabási–Albert generation
-    //    already places hubs at low ids, so to measure layout (and only
-    //    layout) we first scramble the labels — the shape real edge-list
-    //    loads arrive in — then compare the scrambled CSR against its
-    //    degree-ordered relabeling. Same logical graph, same logical
-    //    sources, different memory layout.
-    let scramble: Vec<NodeId> = {
-        let mut p: Vec<NodeId> = (0..n as NodeId).collect();
-        for i in (1..n).rev() {
-            p.swap(i, rng.gen_range(0..=i));
-        }
-        p
-    };
-    let scrambled_edges: Vec<(NodeId, NodeId)> = g
-        .edges()
-        .map(|(u, v)| (scramble[u as usize], scramble[v as usize]))
-        .collect();
-    let scrambled = mwc_graph::Graph::from_edges(n, &scrambled_edges).expect("relabel");
-    let scrambled_sources: Vec<NodeId> = sources.iter().map(|&s| scramble[s as usize]).collect();
-    let (ordered, perm) = scrambled.degree_ordered();
-    let ordered_sources = perm.map_to_new(&scrambled_sources);
-    let original_layout_ms = best_of(reps, || msws.run(&scrambled, &scrambled_sources));
-    let ordered_layout_ms = best_of(reps, || msws.run(&ordered, &ordered_sources));
-    let layout_cmp = comparison(
-        "layout:degree_ordered",
-        original_layout_ms,
-        ordered_layout_ms,
-    );
-
-    // 5. Per-root vs batched ws-q root sweep: everything Algorithm 1
+    // 4. Per-root vs batched ws-q root sweep: everything Algorithm 1
     //    pays in BFS before the λ sweeps, for a |Q| = 16 query. The
     //    baseline is the pre-batching solver's work — one standalone
     //    feasibility BFS from q[0] plus one distance+parent BFS per root;
@@ -256,7 +224,7 @@ fn main() {
     });
     let wsq_cmp = comparison("wsq:batched_root_sweep", per_root_ms, batched_ms);
 
-    // 6. Sequential vs batched landmark-oracle construction: 64 hub
+    // 5. Sequential vs batched landmark-oracle construction: 64 hub
     //    landmarks, k BFS runs against one 64-lane multi-source sweep.
     let sequential_build_ms = best_of(gate_reps, || {
         let mut r = rand::rngs::StdRng::seed_from_u64(args.seed);
@@ -282,7 +250,7 @@ fn main() {
         batched_build_ms,
     );
 
-    // 7. Per-source Dijkstra vs batched delta-stepping on the weighted
+    // 6. Per-source Dijkstra vs batched delta-stepping on the weighted
     //    twin of the bench graph (same topology, `wba:` hash weights).
     //    Both sides lease through the WorkspacePool, like the serving
     //    path does; distances are pinned bit-identical before timing so
@@ -321,7 +289,7 @@ fn main() {
         batched_delta_ms,
     );
 
-    // 8. Sequential vs batched oracle construction on the weighted
+    // 7. Sequential vs batched oracle construction on the weighted
     //    graph — both sides dispatch to the delta-stepping kernels.
     let wseq_build_ms = best_of(gate_reps, || {
         let mut r = rand::rngs::StdRng::seed_from_u64(args.seed);
@@ -347,7 +315,7 @@ fn main() {
         wbatched_build_ms,
     );
 
-    // 4. Cache-cold vs cache-hot solve latency on a fixed query workload.
+    // 3. Cache-cold vs cache-hot solve latency on a fixed query workload.
     let engine = QueryEngine::new(&g);
     let queries: Vec<Vec<NodeId>> = (0..args.scale.pick(24, 32, 32))
         .map(|_| {
@@ -401,7 +369,6 @@ fn main() {
         ),
         ("bfs_multi_source", bfs_cmp.1),
         ("bfs_direction_optimizing", direction_cmp.1),
-        ("layout_degree_ordered", layout_cmp.1),
         ("wsq_batched", wsq_cmp.1),
         ("oracle_build", oracle_cmp.1),
         ("delta_stepping", delta_cmp.1),

@@ -103,5 +103,5 @@ fn main() {
     }
     t.print();
     println!("\nNote: stand-ins match |V|/|E| and family (BA power-law or planted");
-    println!("partition), not clustering/diameter exactly — see DESIGN.md §3.");
+    println!("partition), not clustering/diameter exactly.");
 }

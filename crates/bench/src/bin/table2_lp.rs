@@ -33,7 +33,7 @@ fn main() {
 
     // Instances sized for the dense simplex: the karate club plus small
     // planted-partition graphs standing in for the paper's community-
-    // structured datasets (see DESIGN.md §3).
+    // structured datasets.
     let mut instances: Vec<(String, Graph)> = vec![("karate".into(), karate::karate_club())];
     for (sizes, label) in [
         (vec![8usize, 8, 8], "sbm-24"),

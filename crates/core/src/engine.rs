@@ -824,7 +824,8 @@ impl ConnectorSolver for LocalSearchSolver {
 /// `"exact"` — provably minimum connectors where feasible: any-size graphs
 /// for `|Q| = 2` (a shortest path is optimal on unweighted graphs, §3),
 /// pruned subset enumeration on ≤ 64-vertex graphs otherwise (the §6.2
-/// certificate stand-in). Errors with `UnsupportedInstance` beyond that.
+/// certificate stand-in). Errors with `UnsupportedInstance` beyond that,
+/// and on every weighted graph: both arguments count hops.
 #[derive(Debug, Clone, Default)]
 pub struct ExactSolver {
     /// Enumeration budget.
@@ -839,7 +840,7 @@ impl ConnectorSolver for ExactSolver {
     fn solve(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Result<SolveReport> {
         let g = ctx.graph();
         let q_norm = crate::wsq::normalize_query(g, q)?;
-        if q_norm.len() == 2 && g.num_nodes() > 64 {
+        if q_norm.len() == 2 && g.num_nodes() > 64 && !g.is_weighted() {
             let connector = shortest_path_connector(g, q_norm[0], q_norm[1])?;
             let wiener_index = connector.wiener_index(g)?;
             return Ok(SolveReport {
@@ -1693,6 +1694,21 @@ mod tests {
         std::thread::spawn(move || engine.solve("ws-q", &[0, 33]).unwrap())
             .join()
             .unwrap();
+    }
+
+    #[test]
+    fn exact_refuses_weighted_graphs() {
+        // Edges 0–2 and 2–1 of weight 1, 0–1 of weight 100: the hop-count
+        // answer {0, 1} is wrong, so `exact` must not claim it. 10
+        // vertices take the enumerator, 100 the |Q| = 2 path shortcut.
+        for n in [10, 100] {
+            let g = Graph::from_weighted_edges(n, &[(0, 2, 1), (2, 1, 1), (0, 1, 100)]).unwrap();
+            let err = QueryEngine::new(&g).solve("exact", &[0, 1]).unwrap_err();
+            assert!(
+                matches!(err, CoreError::UnsupportedInstance { .. }),
+                "n = {n}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -74,8 +74,15 @@ pub struct BitGraph {
 }
 
 impl BitGraph {
-    /// Converts a [`Graph`] with `n ≤ 64` vertices.
+    /// Converts an unweighted [`Graph`] with `n ≤ 64` vertices. Weighted
+    /// graphs are refused: the bitset BFS counts hops, so it would report
+    /// hop counts as (wrongly optimal) weighted Wiener indices.
     pub fn from_graph(g: &Graph) -> Result<Self> {
+        if g.is_weighted() {
+            return Err(CoreError::UnsupportedInstance {
+                what: "exact solves unweighted graphs only".to_string(),
+            });
+        }
         let n = g.num_nodes();
         if n > 64 {
             return Err(CoreError::UnsupportedInstance {

@@ -24,7 +24,7 @@
 //!   path; pruned subset enumeration on ≤ 64-vertex bitset graphs);
 //! * [`local_search`] — add/remove refinement (the Table 2 upper bound);
 //! * [`lower_bound`] — certified combinatorial lower bounds (the Table 2
-//!   `GL` substitute for the paper's ILP, see DESIGN.md);
+//!   `GL` substitute for the paper's §5 ILP);
 //! * [`connector`] — the [`Connector`] solution type shared with the
 //!   baselines;
 //! * [`trace`] — lock-free per-request span recording threaded through

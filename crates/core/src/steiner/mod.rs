@@ -6,7 +6,7 @@
 //! 2-approximations — Kou–Markowsky–Berman (the algorithm Mehlhorn
 //! accelerates) and the Takahashi–Matsuyama path heuristic — are provided
 //! both as cross-validation for Mehlhorn's implementation and as the
-//! subroutine ablation in the bench suite (DESIGN.md §7).
+//! subroutine ablation in the bench suite.
 
 pub(crate) mod expand;
 pub mod klein_ravi;

@@ -77,8 +77,8 @@ pub struct WsqConfig {
     /// Bypass Lemma 4's node-to-edge cost shift and solve Problem 4
     /// directly with the Klein–Ravi node-weighted greedy (`O(log |Q|)`
     /// factor). Exists for the ablation study: it measures what the
-    /// paper's constant-factor trick is worth (DESIGN.md §7). When set,
-    /// `steiner` is ignored.
+    /// paper's constant-factor trick is worth. When set, `steiner` is
+    /// ignored.
     pub node_weighted_steiner: bool,
     /// Cooperative wall-clock deadline. Once passed, the solver stops
     /// producing further `(root, λ)` candidates and selects among those

@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates on public SNAP/Arenas graphs, SteinLib benchmarks,
 //! a BioGrid PPI network, and a Twitter #kdd2014 graph — none of which are
-//! redistributable inside this repository. Following DESIGN.md §3, this
-//! crate generates deterministic *stand-ins* with matched size and family:
+//! redistributable inside this repository. Instead, this crate generates
+//! deterministic *stand-ins* with matched size and family:
 //!
 //! * [`realworld`] — Table 1 stand-ins (matched `|V|`, `|E|`, generator
 //!   family, ground-truth communities where the original has them);

@@ -6,7 +6,7 @@
 //! paper uses *because* they have (ground-truth) community structure
 //! (football, dblp, youtube). The experiments compare five algorithms on
 //! the same graph, so what must carry over is the modular small-world
-//! shape, not the exact byte content — see DESIGN.md §3.
+//! shape, not the exact byte content.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -3,7 +3,7 @@
 //! The paper evaluates on SNAP/real-world graphs plus Erdős–Rényi and
 //! power-law synthetic graphs (§6.6). Real datasets are not redistributable
 //! here, so `mwc-datasets` builds *stand-ins* from these generators with
-//! matched size/family (see DESIGN.md §3). Structured families cover the
+//! matched size/family. Structured families cover the
 //! worked examples (Fig 2's line-plus-roots) and the Steiner-benchmark-style
 //! instances (grids, hypercubes).
 

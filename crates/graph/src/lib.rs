@@ -13,8 +13,6 @@
 //! * the distance kernel in [`traversal::bfs`]: plain, direction-
 //!   optimizing, and 64-lane multi-source batched BFS over pooled
 //!   workspaces,
-//! * cache-aware vertex relabelings ([`Graph::degree_ordered`] and
-//!   [`NodePermutation`]) in [`permute`],
 //! * BFS / Dijkstra traversals (single- and multi-source) in [`traversal`],
 //! * connectivity utilities in [`connectivity`],
 //! * the Wiener index and related distance aggregates in [`wiener`],
@@ -51,7 +49,6 @@ pub mod hash;
 pub mod io;
 pub mod metrics;
 pub mod oracle;
-pub mod permute;
 pub mod subgraph;
 pub mod traversal;
 pub mod wiener;
@@ -60,7 +57,6 @@ pub use builder::GraphBuilder;
 pub use csr::Graph;
 pub use error::{GraphError, Result};
 pub use hash::{FxHashMap, FxHashSet};
-pub use permute::NodePermutation;
 pub use subgraph::InducedSubgraph;
 
 /// Node identifier: a dense index in `0..num_nodes`.

@@ -186,20 +186,4 @@ proptest! {
             prop_assert_eq!(ms_delta.distance_sum(lane), ms_bfs.distance_sum(lane));
         }
     }
-
-    /// Weighted graphs survive degree ordering: the permuted graph keeps
-    /// its weights and delta-stepping distances transport through the
-    /// relabeling.
-    #[test]
-    fn weighted_degree_ordering_preserves_distances(g in arb_weighted_family_graph()) {
-        let (h, perm) = g.degree_ordered();
-        prop_assert!(h.is_weighted());
-        let mut a = DeltaWorkspace::new();
-        let mut b = DeltaWorkspace::new();
-        let d_g: Vec<u32> = a.run(&g, 0).to_vec();
-        let d_h = b.run(&h, perm.to_new(0));
-        for v in 0..g.num_nodes() as NodeId {
-            prop_assert_eq!(d_g[v as usize], d_h[perm.to_new(v) as usize]);
-        }
-    }
 }

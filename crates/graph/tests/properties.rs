@@ -295,18 +295,9 @@ proptest! {
     }
 
     /// The parallel multi-source Wiener index equals the sequential
-    /// per-source reference, and degree ordering preserves both distances
-    /// and the Wiener index (it is an isomorphism).
+    /// per-source reference.
     #[test]
-    fn kernel_wiener_and_layout_parity(g in arb_family_graph()) {
+    fn kernel_wiener_parity(g in arb_family_graph()) {
         prop_assert_eq!(wiener_index(&g), mwc_graph::wiener::wiener_index_sequential(&g));
-        let (h, perm) = g.degree_ordered();
-        prop_assert_eq!(wiener_index(&g), wiener_index(&h));
-        // Spot-check distance preservation under the relabeling.
-        let d_g = bfs_distances(&g, 0);
-        let d_h = bfs_distances(&h, perm.to_new(0));
-        for v in 0..g.num_nodes() as NodeId {
-            prop_assert_eq!(d_g[v as usize], d_h[perm.to_new(v) as usize]);
-        }
     }
 }

@@ -8,15 +8,9 @@
 //! vector, landmark oracle, solve cache) is amortized across every
 //! request the server will ever answer for it.
 //!
-//! # Degree-ordered serving layout
-//!
-//! Each engine is built over the **degree-ordered** relabeling of its
-//! graph ([`Graph::degree_ordered`]): hubs get the low ids, packing the
-//! traversal-hot CSR rows and distance-array prefix into a few cache
-//! pages. The relabeling is invisible on the wire — [`CatalogEntry`]'s
-//! solve methods translate query ids in and connector ids back out
-//! through the stored [`NodePermutation`], so clients keep speaking the
-//! graph's original ids.
+//! Each engine runs over the graph exactly as loaded: one id space from
+//! the wire to the kernel, so an entry answers every query exactly as
+//! `wiener_connector::engine` answers it on the same graph.
 //!
 //! Access is read-mostly: lookups clone an `Arc` under a briefly held
 //! read lock; loads build the graph and engine *outside* the lock and
@@ -29,13 +23,10 @@ use std::io::BufReader;
 use std::sync::{Arc, RwLock};
 
 use mwc_baselines::full_engine_shared;
-use mwc_core::{
-    CacheStats, Connector, GroupOutcome, GroupQuery, OwnedEngine, QueryOptions, SolveReport,
-};
+use mwc_core::{CacheStats, GroupOutcome, GroupQuery, OwnedEngine, QueryOptions, SolveReport};
 use mwc_graph::generators::barabasi_albert::barabasi_albert;
 use mwc_graph::generators::karate::karate_club;
 use mwc_graph::io::{read_edge_list, read_weighted_edge_list};
-use mwc_graph::permute::NodePermutation;
 use mwc_graph::{Graph, NodeId};
 use rand::SeedableRng;
 
@@ -242,7 +233,7 @@ pub fn weight_digest(g: &Graph) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |x: u64| {
         h ^= x;
-        h = h.wrapping_mul(0x1_0000_0001_b3);
+        h = h.wrapping_mul(0x0100_0000_01b3);
     };
     for (u, v, w) in g.weighted_edges() {
         mix(u as u64);
@@ -252,50 +243,28 @@ pub fn weight_digest(g: &Graph) -> u64 {
     h.max(1)
 }
 
-/// One loaded graph: its name, provenance, shared graph handle, and the
-/// engine serving it. Handed out as an `Arc` so requests keep a
+/// One loaded graph: its name, provenance, and the engine serving it
+/// (which owns the graph). Handed out as an `Arc` so requests keep a
 /// consistent view even if the entry is concurrently evicted or
 /// replaced.
-///
-/// The engine runs over the degree-ordered relabeling of `graph`; use
-/// [`CatalogEntry::solve`] / [`CatalogEntry::solve_batch`], which speak
-/// original ids at both ends. Reaching into [`CatalogEntry::engine`]
-/// directly means speaking *relabeled* ids.
 #[derive(Debug)]
 pub struct CatalogEntry {
     /// Catalog name (the key requests use).
     pub name: String,
     /// The spec string this entry was loaded from.
     pub source: String,
-    /// Vertex count of the served graph. The original-layout graph
-    /// itself is *not* retained — only the degree-ordered copy inside
-    /// the engine is resident, so a cataloged graph costs one CSR, not
-    /// two. Rebuild from [`CatalogEntry::source`] when the original
-    /// layout is needed (tests do).
-    nodes: usize,
-    /// Edge count of the served graph.
-    edges: usize,
-    /// Whether the served graph carries integer edge weights (every
-    /// distance — and the reported Wiener index — is then weighted).
-    weighted: bool,
-    /// [`weight_digest`] of the original-layout graph: `0` when
-    /// unweighted, a nonzero edge-list fingerprint otherwise. Attached
-    /// to exported cache seeds and checked on import.
+    /// [`weight_digest`] of the graph: `0` when unweighted, a nonzero
+    /// edge-list fingerprint otherwise. Attached to exported cache seeds
+    /// and checked on import.
     weight_digest: u64,
-    /// Maps original ids (`old`) to the engine's degree-ordered ids
-    /// (`new`) and back.
-    perm: NodePermutation,
-    /// The engine over the degree-ordered graph, with the full method
-    /// table registered.
+    /// The engine over the graph as loaded, with the full method table
+    /// registered.
     engine: OwnedEngine,
 }
 
 impl CatalogEntry {
-    /// Builds an entry: degree-orders the graph, constructs the full
-    /// engine over the relabeled layout, and remembers the permutation
-    /// for boundary translation. The original-layout graph is dropped
-    /// here (the caller's `Graph` is consumed). Deterministic for a
-    /// given graph.
+    /// Builds an entry: constructs the full engine over `graph` as is.
+    /// Deterministic for a given graph.
     fn build(
         name: &str,
         source: &str,
@@ -303,13 +272,8 @@ impl CatalogEntry {
         solve_cache_bytes: Option<usize>,
         solve_cache_ttl: Option<std::time::Duration>,
     ) -> CatalogEntry {
-        let (ordered, perm) = graph.degree_ordered();
-        let (nodes, edges) = (graph.num_nodes(), graph.num_edges());
-        // Fingerprint the original layout: replicas that load the same
-        // spec agree on the digest regardless of their degree ordering.
-        let digest = weight_digest(&graph);
-        drop(graph);
-        let mut engine = full_engine_shared(Arc::new(ordered));
+        let weight_digest = weight_digest(&graph);
+        let mut engine = full_engine_shared(Arc::new(graph));
         if let Some(bytes) = solve_cache_bytes {
             engine.set_solve_cache_bytes(bytes);
         }
@@ -319,28 +283,25 @@ impl CatalogEntry {
         CatalogEntry {
             name: name.to_string(),
             source: source.to_string(),
-            nodes,
-            edges,
-            weighted: digest != 0,
-            weight_digest: digest,
-            perm,
+            weight_digest,
             engine,
         }
     }
 
     /// Vertex count of the served graph.
     pub fn num_nodes(&self) -> usize {
-        self.nodes
+        self.engine.graph().num_nodes()
     }
 
     /// Edge count of the served graph.
     pub fn num_edges(&self) -> usize {
-        self.edges
+        self.engine.graph().num_edges()
     }
 
-    /// Whether the served graph is integer-weighted.
+    /// Whether the served graph is integer-weighted (every distance, and
+    /// the reported Wiener index, is then weighted).
     pub fn is_weighted(&self) -> bool {
-        self.weighted
+        self.engine.graph().is_weighted()
     }
 
     /// The graph's weighted-edge-list fingerprint (`0` when unweighted).
@@ -348,8 +309,7 @@ impl CatalogEntry {
         self.weight_digest
     }
 
-    /// The serving engine (degree-ordered id space — translate through
-    /// [`CatalogEntry::solve`] unless you know what you are doing).
+    /// The serving engine.
     pub fn engine(&self) -> &OwnedEngine {
         &self.engine
     }
@@ -364,96 +324,52 @@ impl CatalogEntry {
         self.engine.cache_stats()
     }
 
-    /// Translates one original-id vertex into the engine's id space.
-    /// Out-of-range ids pass through unchanged: the id spaces have the
-    /// same range, so the engine rejects them with the same
-    /// `NodeOutOfRange` error the original graph would have produced.
-    fn to_engine_id(&self, v: NodeId) -> NodeId {
-        if (v as usize) < self.perm.len() {
-            self.perm.to_new(v)
-        } else {
-            v
-        }
-    }
-
-    /// Rewrites a report's connector from engine ids back to original
-    /// ids. The objective value, timings, and diagnostics are
-    /// layout-invariant and pass through untouched.
-    fn translate_report(&self, mut report: SolveReport) -> SolveReport {
-        report.connector =
-            Connector::from_vertices(self.perm.map_to_old(report.connector.vertices()));
-        report
-    }
-
-    /// Solves one query against this entry's engine, speaking original
-    /// graph ids on both sides of the call.
+    /// Solves one query against this entry's engine.
     pub fn solve(
         &self,
         solver: &str,
         q: &[NodeId],
         options: &QueryOptions,
     ) -> mwc_core::Result<SolveReport> {
-        let q_new: Vec<NodeId> = q.iter().map(|&v| self.to_engine_id(v)).collect();
-        self.engine
-            .solve_with(solver, &q_new, options)
-            .map(|r| self.translate_report(r))
+        self.engine.solve_with(solver, q, options)
     }
 
     /// Heterogeneous-group counterpart of [`CatalogEntry::solve`]: a
     /// window of queries (each with its own solver and options) runs
     /// through [`QueryEngine::solve_group`](mwc_core::QueryEngine::solve_group),
     /// which dedups identical work and prefetches per-root BFS sweeps
-    /// shared **across** the queries. Ids are translated at the boundary
-    /// in both directions; per-query errors stay in place. The coalescer
-    /// is the caller.
+    /// shared **across** the queries. Per-query errors stay in place.
+    /// The coalescer is the caller.
     pub fn solve_group(&self, queries: &[GroupQuery]) -> GroupOutcome {
-        let translated: Vec<GroupQuery> = queries
-            .iter()
-            .map(|gq| {
-                GroupQuery::new(
-                    gq.solver.clone(),
-                    gq.q.iter().map(|&v| self.to_engine_id(v)).collect(),
-                    gq.options.clone(),
-                )
-            })
-            .collect();
-        let mut outcome = self.engine.solve_group(&translated);
-        outcome.results = outcome
-            .results
-            .into_iter()
-            .map(|r| r.map(|report| self.translate_report(report)))
-            .collect();
-        outcome
+        self.engine.solve_group(queries)
     }
 
     /// Exports the engine's warm solve-cache entries as wire-ready
-    /// [`CacheSeed`]s, **original ids** throughout (query keys and
-    /// connectors are translated back through the permutation), most
-    /// recently used first. The handoff side of live migration: the
-    /// seeds feed another replica's [`CatalogEntry::import_cache`] —
-    /// possibly one that degree-ordered the same graph into a different
-    /// permutation, which is why the wire speaks original ids.
+    /// [`CacheSeed`]s, most recently used first. The handoff side of live
+    /// migration: the seeds feed another replica's
+    /// [`CatalogEntry::import_cache`].
     pub fn export_cache(&self) -> Vec<CacheSeed> {
         self.engine
             .export_cache()
             .into_iter()
             .map(|(solver, q, max_size, report)| CacheSeed {
                 solver,
-                q: self.perm.map_to_old(&q),
+                q,
                 max_size,
                 weight_digest: self.weight_digest,
-                report: self.translate_report(report),
+                report,
             })
             .collect()
     }
 
-    /// Imports warm-cache seeds exported by another replica (original
-    /// ids), translating into this engine's id space and inserting under
-    /// the exact key a fresh solve would probe. Seeds whose vertices do
-    /// not fit this graph are skipped — a stale export must not poison
+    /// Imports warm-cache seeds exported by another replica, inserting
+    /// each under the exact key a fresh solve would probe. Seeds whose
+    /// vertices do not fit this graph, or that were solved under a
+    /// different weighting, are skipped — a stale export must not poison
     /// the cache. Returns how many seeds were accepted (normal cache
     /// budgets apply).
     pub fn import_cache(&self, seeds: &[CacheSeed]) -> usize {
+        let n = self.num_nodes();
         let mut imported = 0;
         for seed in seeds {
             // A seed solved under a different weighting (or none) would
@@ -465,23 +381,13 @@ impl CatalogEntry {
                 .q
                 .iter()
                 .chain(seed.report.connector.vertices())
-                .any(|&v| (v as usize) >= self.nodes)
+                .any(|&v| (v as usize) >= n)
             {
                 continue;
             }
-            let q_new: Vec<NodeId> = seed.q.iter().map(|&v| self.to_engine_id(v)).collect();
-            let mut report = seed.report.clone();
-            report.connector = Connector::from_vertices(
-                report
-                    .connector
-                    .vertices()
-                    .iter()
-                    .map(|&v| self.to_engine_id(v))
-                    .collect(),
-            );
             if self
                 .engine
-                .seed_cache(&seed.solver, &q_new, seed.max_size, report)
+                .seed_cache(&seed.solver, &seed.q, seed.max_size, seed.report.clone())
             {
                 imported += 1;
             }
@@ -489,23 +395,15 @@ impl CatalogEntry {
         imported
     }
 
-    /// Batch counterpart of [`CatalogEntry::solve`]: queries in, reports
-    /// out, all in original ids, with per-query errors kept in place.
+    /// Batch counterpart of [`CatalogEntry::solve`], with per-query
+    /// errors kept in place.
     pub fn solve_batch(
         &self,
         solver: &str,
         queries: &[Vec<NodeId>],
         options: &QueryOptions,
     ) -> Vec<mwc_core::Result<SolveReport>> {
-        let translated: Vec<Vec<NodeId>> = queries
-            .iter()
-            .map(|q| q.iter().map(|&v| self.to_engine_id(v)).collect())
-            .collect();
-        self.engine
-            .solve_batch(solver, &translated, options)
-            .into_iter()
-            .map(|r| r.map(|report| self.translate_report(report)))
-            .collect()
+        self.engine.solve_batch(solver, queries, options)
     }
 }
 
@@ -549,8 +447,8 @@ impl Catalog {
     }
 
     /// Loads `spec` under `name`, replacing any previous entry of that
-    /// name. Graph generation, degree ordering, and engine construction
-    /// run outside the lock; only the publish takes the write lock.
+    /// name. Graph generation and engine construction run outside the
+    /// lock; only the publish takes the write lock.
     /// Returns the new entry.
     pub fn load(&self, name: &str, spec: &str) -> Result<Arc<CatalogEntry>> {
         if name.is_empty() {
@@ -710,22 +608,20 @@ mod tests {
     }
 
     #[test]
-    fn weighted_entries_serve_weighted_answers_in_original_ids() {
+    fn weighted_entries_serve_weighted_answers() {
         let catalog = Catalog::new();
         let entry = catalog.load("wtoy", "wba:400x3").unwrap();
         assert!(entry.is_weighted());
         assert_ne!(entry.weight_digest(), 0);
-        // Reference graph in original layout (the entry only keeps the
-        // degree-ordered copy).
-        let original = GraphSource::parse("wba:400x3").unwrap().build().unwrap();
+        let rebuilt = GraphSource::parse("wba:400x3").unwrap().build().unwrap();
         let q = [5u32, 77, 200, 399];
         let report = entry.solve("ws-q", &q, &QueryOptions::default()).unwrap();
         assert!(report.connector.contains_all(&q));
         // The reported index is the *weighted* Wiener index of the
-        // connector, layout-invariant.
+        // connector.
         assert_eq!(
             report.wiener_index,
-            report.connector.wiener_index(&original).unwrap()
+            report.connector.wiener_index(&rebuilt).unwrap()
         );
         // And it differs from the unweighted index of the same set (the
         // weights actually flowed through).
@@ -806,42 +702,81 @@ mod tests {
         assert!(report.connector.contains_all(&[0, 1, 2]));
     }
 
+    /// What a solve returned, in comparable form: connector, W and the
+    /// optimality flag, or the error message.
+    fn answer(
+        r: &mwc_core::Result<SolveReport>,
+    ) -> std::result::Result<(Vec<NodeId>, u64, Option<bool>), String> {
+        match r {
+            Ok(r) => Ok((r.connector.vertices().to_vec(), r.wiener_index, r.optimal)),
+            Err(e) => Err(e.to_string()),
+        }
+    }
+
     #[test]
-    fn entries_serve_original_ids_over_degree_ordered_engines() {
-        let catalog = Catalog::new();
-        let entry = catalog.load("karate", "karate").unwrap();
-        // Independent original-layout reference (the entry itself does
-        // not retain the original graph).
-        let original = karate_club();
-        // The engine's layout is hub-first…
-        let engine_graph = entry.engine().graph();
-        assert_eq!(engine_graph.degree(0), original.max_degree());
-        // …but solve speaks original ids: the connector is a valid
-        // original-id connector containing the original-id query.
-        let q = [11u32, 24, 25, 29];
-        let report = entry.solve("ws-q", &q, &QueryOptions::default()).unwrap();
-        assert!(report.connector.contains_all(&q));
-        let sub = original.induced(report.connector.vertices()).unwrap();
-        assert!(mwc_graph::connectivity::is_connected(sub.graph()));
-        // The objective value is layout-invariant: re-evaluate in the
-        // original id space against the independently built graph.
-        assert_eq!(
-            report.wiener_index,
-            report.connector.wiener_index(&original).unwrap()
-        );
-        // Batch path agrees with the single-query path.
-        let batch = entry.solve_batch("ws-q", &[q.to_vec()], &QueryOptions::default());
-        assert_eq!(
-            batch[0].as_ref().unwrap().connector.vertices(),
-            report.connector.vertices()
-        );
-        // Out-of-range ids surface the standard error, untranslated.
-        assert!(entry
-            .solve("ws-q", &[999], &QueryOptions::default())
-            .is_err());
-        // Cache counters are reachable through the entry.
-        entry.solve("ws-q", &q, &QueryOptions::default()).unwrap();
-        assert!(entry.cache_stats().hits >= 1);
+    fn entries_answer_exactly_like_the_library_engine() {
+        // |Q| ∈ {2, 3, 5}, all in range on every graph, plus one
+        // out-of-range query whose error must match too.
+        let queries: Vec<Vec<NodeId>> = vec![
+            vec![5, 16],
+            vec![3, 11, 16],
+            vec![1, 9, 20, 23, 31],
+            vec![0, 99_999],
+        ];
+        let fresh = QueryOptions::new().no_cache();
+        for spec in ["karate", "ba:2000x3", "wba:2000x3"] {
+            let g = GraphSource::parse(spec).unwrap().build().unwrap();
+            let library = mwc_baselines::full_engine(&g);
+            let catalog = Catalog::new();
+            let entry = catalog.load(spec, spec).unwrap();
+            assert_eq!(entry.solver_names(), library.solver_names());
+            let mut group = Vec::new();
+            let mut expected = Vec::new();
+            for solver in library.solver_names() {
+                let want: Vec<_> = queries
+                    .iter()
+                    .map(|q| answer(&library.solve_with(solver, q, &fresh)))
+                    .collect();
+                for (q, want) in queries.iter().zip(&want) {
+                    let got = answer(&entry.solve(solver, q, &fresh));
+                    assert_eq!(&got, want, "{spec} {solver} {q:?}: solve");
+                }
+                let batch = entry.solve_batch(solver, &queries, &fresh);
+                for ((q, got), want) in queries.iter().zip(&batch).zip(&want) {
+                    assert_eq!(&answer(got), want, "{spec} {solver} {q:?}: solve_batch");
+                }
+                for q in &queries {
+                    group.push(GroupQuery::new(solver, q.clone(), fresh.clone()));
+                }
+                expected.extend(want);
+            }
+            let outcome = entry.solve_group(&group);
+            for ((gq, got), want) in group.iter().zip(&outcome.results).zip(&expected) {
+                assert_eq!(
+                    &answer(got),
+                    want,
+                    "{spec} {} {:?}: solve_group",
+                    gq.solver,
+                    gq.q
+                );
+            }
+
+            // Warm the cache, hand it to a second catalog, and replay:
+            // every imported answer is the library's.
+            for gq in &group {
+                entry
+                    .solve(&gq.solver, &gq.q, &QueryOptions::default())
+                    .ok();
+            }
+            let seeds = entry.export_cache();
+            let replica = Catalog::new().load(spec, spec).unwrap();
+            assert_eq!(replica.import_cache(&seeds), seeds.len());
+            for (gq, want) in group.iter().zip(&expected) {
+                let got = answer(&replica.solve(&gq.solver, &gq.q, &QueryOptions::default()));
+                assert_eq!(&got, want, "{spec} {} {:?}: imported", gq.solver, gq.q);
+            }
+            assert_eq!(replica.cache_stats().hits, seeds.len() as u64);
+        }
     }
 
     #[test]
@@ -886,7 +821,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_export_import_streams_warm_entries_in_original_ids() {
+    fn cache_export_import_streams_warm_entries() {
         let catalog = Catalog::new();
         let old = catalog.load("karate", "karate").unwrap();
         let q = [11u32, 24, 25, 29];
@@ -895,12 +830,12 @@ mod tests {
 
         let seeds = old.export_cache();
         assert_eq!(seeds.len(), 2);
-        // Seeds speak original ids: the ws-q seed's query is the one the
-        // client sent, and its connector contains it.
+        // The ws-q seed's query is the one the client sent, and its
+        // connector contains it.
         let ws = seeds.iter().find(|s| s.solver == "ws-q").unwrap();
         let mut exported_q = ws.q.clone();
         exported_q.sort_unstable();
-        assert_eq!(exported_q, q.to_vec(), "same terminal set, original ids");
+        assert_eq!(exported_q, q.to_vec(), "same terminal set");
         assert!(ws.report.connector.contains_all(&q));
 
         // A fresh replica imports the seeds and serves the first request

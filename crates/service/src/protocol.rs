@@ -80,12 +80,11 @@
 //! distance the server computes for them — and the `wiener_index` it
 //! reports — is weighted. `graphs` entries carry a `"weighted"` boolean,
 //! and cache seeds from a weighted graph carry its `"weight_digest"` —
-//! a hash of the weighted edge list (original ids), encoded as a
-//! 16-hex-char string because the digest ranges over all of `u64` and
-//! JSON numbers are `f64` (integers above 2^53 would not survive the
-//! wire): `load` skips seeds
-//! whose digest does not match the target graph, so answers solved under
-//! one weighting never seed a graph with another (or with none).
+//! a hash of the weighted edge list, encoded as a 16-hex-char string
+//! because the digest ranges over all of `u64` and JSON numbers are
+//! `f64` (integers above 2^53 would not survive the wire): `load` skips
+//! seeds whose digest does not match the target graph, so answers solved
+//! under one weighting never seed a graph with another (or with none).
 //!
 //! `no_cache` forces a fresh solve even when the per-graph engine has the
 //! answer cached (see `QueryEngine`'s solve cache), and keeps the fresh
@@ -209,14 +208,14 @@ impl BatchEntry {
 pub struct CacheSeed {
     /// Registry name of the solver that produced the entry.
     pub solver: String,
-    /// The query vertex set (original ids; canonicalized on import).
+    /// The query vertex set (canonicalized on import).
     pub q: Vec<NodeId>,
     /// The `max_size` budget the entry was solved under, if any.
     pub max_size: Option<usize>,
-    /// Digest of the source graph's weighted edge list (original ids);
-    /// `0` for unweighted graphs (and omitted on the wire). Import
-    /// skips seeds whose digest does not match the target graph's, so a
-    /// result solved under one weighting never poisons another.
+    /// Digest of the source graph's weighted edge list; `0` for
+    /// unweighted graphs (and omitted on the wire). Import skips seeds
+    /// whose digest does not match the target graph's, so a result
+    /// solved under one weighting never poisons another.
     pub weight_digest: u64,
     /// The cached solve result.
     pub report: SolveReport,
@@ -275,8 +274,8 @@ pub enum Command {
         name: String,
         /// Source spec (see [`crate::catalog::GraphSource`]).
         source: String,
-        /// Warm-cache seeds to import after the build (original ids);
-        /// usually from a `cache_export` against the old owner.
+        /// Warm-cache seeds to import after the build; usually from a
+        /// `cache_export` against the old owner.
         cache: Vec<CacheSeed>,
     },
     /// Remove a graph from the catalog.
@@ -284,8 +283,8 @@ pub enum Command {
         /// Catalog name to remove.
         name: String,
     },
-    /// Export a graph's warm solve-cache entries (original ids) for
-    /// streaming to another replica during migration.
+    /// Export a graph's warm solve-cache entries for streaming to
+    /// another replica during migration.
     CacheExport {
         /// Catalog name of the graph whose cache to export.
         name: String,

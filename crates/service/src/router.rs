@@ -17,9 +17,8 @@
 //!
 //! The router speaks the *same* newline-delimited JSON protocol on both
 //! sides: clients do not change a byte for single-graph traffic, and the
-//! backends are stock `mwc-server` processes — the id-translation
-//! boundary inside each shard's `CatalogEntry` means a shard never needs
-//! to know the ring exists. What the router owns:
+//! backends are stock `mwc-server` processes that never need to know
+//! the ring exists. What the router owns:
 //!
 //! * **Replicated routing** — a deterministic [`HashRing`] over the
 //!   shard names (virtual nodes, see [`crate::shard`]) maps every graph

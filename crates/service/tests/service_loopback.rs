@@ -1,8 +1,8 @@
 //! End-to-end serving tests over a loopback TCP socket: an ephemeral-port
 //! server driven by real concurrent clients, with results pinned against
-//! direct catalog-entry calls on identically constructed graphs (the
-//! entry path is the serving unit: a degree-ordered engine plus id
-//! translation at the boundary).
+//! direct catalog-entry calls on identically constructed graphs, and
+//! against the library engine itself (the catalog serves each graph as
+//! loaded, so the wire and `full_engine` share one id space).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -61,14 +61,13 @@ fn concurrent_solves_match_direct_engine_calls() {
 
     // Ground truth at two levels of independence:
     // * reference *entries* rebuilt from the specs pin the wire byte-for-
-    //   byte against the serving path (degree ordering + translation);
-    // * reference *original-layout graphs* rebuilt via GraphSource pin
-    //   the answers against code that never saw the relabeling — a
-    //   systematic translation bug cannot cancel out here.
+    //   byte against the serving path;
+    // * reference *graphs* rebuilt via GraphSource pin the answers
+    //   against code that never touched the catalog.
     let reference = Catalog::new();
     reference.load("karate", "karate").unwrap();
     reference.load("toy", "ba:300x2").unwrap();
-    let originals = [
+    let graphs = [
         (
             "karate",
             GraphSource::parse("karate").unwrap().build().unwrap(),
@@ -93,22 +92,48 @@ fn concurrent_solves_match_direct_engine_calls() {
             );
             assert_eq!(wire.wiener_index, direct.wiener_index);
             assert_eq!(wire.optimal, direct.optimal);
-            // Independent original-layout checks: the wire connector must
-            // be a valid connector of the untranslated graph, and its
-            // Wiener index (recomputed without any permutation involved)
-            // must equal the reported objective.
-            let original = &originals.iter().find(|(n, _)| *n == graph).unwrap().1;
+            // Independent checks: the wire connector must be a valid
+            // connector of the rebuilt graph, and its recomputed Wiener
+            // index must equal the reported objective.
+            let rebuilt = &graphs.iter().find(|(n, _)| *n == graph).unwrap().1;
             assert!(q.iter().all(|v| wire.connector.contains(v)));
-            let sub = original.induced(&wire.connector).unwrap();
+            let sub = rebuilt.induced(&wire.connector).unwrap();
             assert!(mwc_graph::connectivity::is_connected(sub.graph()));
             assert_eq!(
                 mwc_graph::wiener::wiener_index(sub.graph()),
                 Some(wire.wiener_index),
                 "{} on {graph} {q:?}: reported W diverges from the \
-                 original-layout recomputation",
+                 recomputation",
                 wire.solver
             );
         }
+    }
+    handle.shutdown();
+}
+
+/// Wire `ws-q` answers equal the library's: a server over `ba:2000x3`
+/// returns the connector and W that `full_engine` returns on the same
+/// graph, vertex for vertex.
+#[test]
+fn wire_answers_equal_library_engine_answers() {
+    let catalog = Arc::new(Catalog::new());
+    catalog.load("ba", "ba:2000x3").unwrap();
+    let handle = server::start(catalog, ServerConfig::default(), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let g = GraphSource::parse("ba:2000x3").unwrap().build().unwrap();
+    let library = mwc_baselines::full_engine(&g);
+    let queries: &[&[NodeId]] = &[
+        &[7, 1500],
+        &[3, 900, 1999],
+        &[50, 51, 1234],
+        &[10, 400, 800, 1200, 1600],
+        &[0, 1, 2, 1000, 1999],
+    ];
+    for q in queries {
+        let wire = client.solve("ba", "ws-q", q, None, None).unwrap();
+        let lib = library.solve("ws-q", q).unwrap();
+        assert_eq!(wire.connector, lib.connector.vertices(), "ws-q {q:?}");
+        assert_eq!(wire.wiener_index, lib.wiener_index, "ws-q {q:?}");
     }
     handle.shutdown();
 }
