@@ -309,11 +309,7 @@ fn main() {
             &mut r,
         );
     });
-    let weighted_oracle_cmp = comparison(
-        "weighted:oracle_build",
-        wseq_build_ms,
-        wbatched_build_ms,
-    );
+    let weighted_oracle_cmp = comparison("weighted:oracle_build", wseq_build_ms, wbatched_build_ms);
 
     // 3. Cache-cold vs cache-hot solve latency on a fixed query workload.
     let engine = QueryEngine::new(&g);

@@ -1506,8 +1506,7 @@ impl<'g> QueryEngine<'g> {
                 let mut ms = MsDistWorkspace::lease(&self.shared.pool, self.graph.get());
                 let mut map = SharedRootDists::with_capacity(roots.len());
                 for batch in roots.chunks(MS_BFS_LANES) {
-                    let arrays =
-                        batched_root_distances_dispatch(self.graph.get(), batch, &mut ms);
+                    let arrays = batched_root_distances_dispatch(self.graph.get(), batch, &mut ms);
                     stats.shared_sweeps += 1;
                     stats.shared_lanes += batch.len() as u64;
                     for (&r, d) in batch.iter().zip(arrays) {

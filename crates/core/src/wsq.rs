@@ -670,7 +670,9 @@ fn run_roots(
             None => match delta.as_mut() {
                 Some(dw) => dw.run(g, r),
                 None => {
-                    let ws = ws.as_mut().expect("unweighted graphs lease a BFS workspace");
+                    let ws = ws
+                        .as_mut()
+                        .expect("unweighted graphs lease a BFS workspace");
                     if cfg.kernel {
                         ws.run_auto(g, r)
                     } else {
