@@ -6,7 +6,7 @@
 //! then greedy addition of the highest-scoring vertices until `Q` is
 //! connected (§6.1).
 
-use mwc_core::{Connector, Result};
+use mwc_core::{wsq::normalize_query, Connector, Result};
 use mwc_graph::{Graph, NodeId};
 
 use crate::greedy::greedy_connect;
@@ -19,13 +19,12 @@ pub fn ppr(g: &Graph, q: &[NodeId]) -> Result<Connector> {
 
 /// Runs the `ppr` baseline with explicit RWR parameters.
 pub fn ppr_with_params(g: &Graph, q: &[NodeId], params: RwrParams) -> Result<Connector> {
-    // The walk indexes its restart vector by query id: reject
-    // out-of-range ids before it runs.
-    for &v in q {
-        g.check_node(v)?;
-    }
-    let scores = random_walk_with_restart(g, q, params);
-    greedy_connect(g, q, &scores)
+    // The walk indexes its restart vector by query id and weights each
+    // listed id equally: reject empty and out-of-range queries, and drop
+    // duplicates so a repeated id does not skew the restart mass.
+    let q = normalize_query(g, q)?;
+    let scores = random_walk_with_restart(g, &q, params);
+    greedy_connect(g, &q, &scores)
 }
 
 #[cfg(test)]
@@ -46,6 +45,15 @@ mod tests {
     fn out_of_range_query_is_an_error() {
         let g = karate_club();
         assert!(ppr(&g, &[0, 99_999]).is_err());
+    }
+
+    #[test]
+    fn empty_and_duplicated_queries_are_canonicalized() {
+        let g = karate_club();
+        assert!(matches!(ppr(&g, &[]), Err(mwc_core::CoreError::EmptyQuery)));
+        let dup = ppr(&g, &[16, 3, 11, 3]).unwrap();
+        let canonical = ppr(&g, &[3, 11, 16]).unwrap();
+        assert_eq!(dup.vertices(), canonical.vertices());
     }
 
     #[test]

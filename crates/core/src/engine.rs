@@ -169,8 +169,10 @@ pub struct SolveReport {
     /// this too costly should call the legacy per-method functions, which
     /// return a bare [`Connector`].
     pub wiener_index: u64,
-    /// Wall-clock seconds of the solve. Filled by [`QueryEngine::solve`];
-    /// zero when the solver is invoked directly through the trait.
+    /// Wall-clock seconds of the solve, counted from the start of its
+    /// [`QueryEngine::solve_group`] window (for a batch, the start of the
+    /// whole batch). Filled by the engine; zero when the solver is
+    /// invoked directly through the trait.
     pub seconds: f64,
     /// Candidates inspected: `(root, λ)` pairs for the `ws-q` family
     /// (Algorithm 1's sweep), subsets for the exact enumerator, zero where
@@ -510,12 +512,6 @@ struct SharedState {
     landmarks: usize,
     landmark_strategy: LandmarkStrategy,
     oracle_seed: u64,
-    /// Route solvers' distance-only BFS through the direction-optimizing
-    /// kernel (results are identical; see [`crate::WsqConfig::kernel`]).
-    kernel: bool,
-    /// Batch per-root sweeps through the multi-source kernel (results
-    /// are identical; see [`crate::WsqConfig::batch`]).
-    batch: bool,
 }
 
 /// The per-query view a [`ConnectorSolver`] receives: the graph plus the
@@ -565,9 +561,10 @@ impl<'e> QueryContext<'e> {
     }
 
     /// `true` when the engine is already parallelizing *across* queries
-    /// (inside [`QueryEngine::solve_batch`] workers) and solvers should
-    /// not spawn their own worker threads on top — ws-q's root loop
-    /// honors this to avoid `P²` oversubscription.
+    /// (several jobs of one [`QueryEngine::solve_group`] window on worker
+    /// threads) and solvers should not spawn their own worker threads on
+    /// top — ws-q's root loop honors this to avoid `P²`
+    /// oversubscription.
     pub fn prefer_sequential(&self) -> bool {
         self.prefer_sequential
     }
@@ -596,21 +593,6 @@ impl<'e> QueryContext<'e> {
     /// The engine's BFS buffer pool; lease instead of allocating.
     pub fn workspace_pool(&self) -> &'e WorkspacePool {
         &self.shared.pool
-    }
-
-    /// Whether solvers should route distance-only BFS runs through the
-    /// direction-optimizing kernel (see
-    /// [`QueryEngine::set_kernel_enabled`]). Purely a performance choice:
-    /// distances, and therefore connectors, are identical either way.
-    pub fn kernel_enabled(&self) -> bool {
-        self.shared.kernel
-    }
-
-    /// Whether solvers should batch per-root sweeps through the
-    /// multi-source BFS kernel (see [`QueryEngine::set_batch_enabled`]).
-    /// Purely a performance choice: connectors are identical either way.
-    pub fn batch_enabled(&self) -> bool {
-        self.shared.batch
     }
 
     /// Degree centrality of every vertex (computed once per engine).
@@ -695,8 +677,6 @@ impl ConnectorSolver for WsqSolver {
         let mut cfg = self.config.clone();
         cfg.deadline = ctx.deadline();
         cfg.parallel = cfg.parallel && !ctx.prefer_sequential();
-        cfg.kernel = cfg.kernel && ctx.kernel_enabled();
-        cfg.batch = cfg.batch && ctx.batch_enabled();
         cfg.trace = ctx.options().trace_context().clone();
         let sol = WienerSteiner::with_config(ctx.graph(), cfg).solve_pooled_shared(
             q,
@@ -712,17 +692,16 @@ impl ConnectorSolver for WsqSolver {
 }
 
 /// Shared [`ConnectorSolver::coalesce_roots`] answer for the solvers built
-/// on [`WienerSteiner`]: under the batched `QueryOnly` sweep the per-root
-/// distance arrays are exactly the normalized query vertices' BFS
-/// distances, so those are what a coalesced window can prefetch. Any
-/// configuration that would not take the batched path (batching off,
-/// `AllVertices` roots, single-vertex query) declines.
+/// on [`WienerSteiner`]: under `QueryOnly` roots the per-root distance
+/// arrays are exactly the normalized query vertices' distances, so those
+/// are what a coalesced window can prefetch. `AllVertices` roots and
+/// single-vertex queries (which run no sweep) decline.
 fn wsq_coalesce_roots(
     cfg: &WsqConfig,
     ctx: &QueryContext<'_>,
     q: &[NodeId],
 ) -> Option<Vec<NodeId>> {
-    if !(cfg.batch && ctx.batch_enabled()) || cfg.roots != RootPolicy::QueryOnly {
+    if cfg.roots != RootPolicy::QueryOnly {
         return None;
     }
     crate::wsq::normalize_query(ctx.graph(), q)
@@ -749,9 +728,7 @@ impl ConnectorSolver for ApproxWsqSolver {
 
     fn solve(&self, ctx: &QueryContext<'_>, q: &[NodeId]) -> Result<SolveReport> {
         let mut cfg = self.config.clone();
-        cfg.kernel = cfg.kernel && ctx.kernel_enabled();
         cfg.parallel = cfg.parallel && !ctx.prefer_sequential();
-        cfg.batch = cfg.batch && ctx.batch_enabled();
         let sol = solve_with_oracle(
             ctx.graph(),
             ctx.landmark_oracle(),
@@ -782,8 +759,6 @@ impl ConnectorSolver for LocalSearchSolver {
         let mut cfg = self.wsq.clone();
         cfg.deadline = ctx.deadline();
         cfg.parallel = cfg.parallel && !ctx.prefer_sequential();
-        cfg.kernel = cfg.kernel && ctx.kernel_enabled();
-        cfg.batch = cfg.batch && ctx.batch_enabled();
         cfg.trace = ctx.options().trace_context().clone();
         let sol = WienerSteiner::with_config(ctx.graph(), cfg).solve_pooled_shared(
             q,
@@ -866,8 +841,8 @@ impl ConnectorSolver for ExactSolver {
 
 /// One query of a coalesced window: solver registry name, query set, and
 /// per-query options — the heterogeneous unit [`QueryEngine::solve_group`]
-/// accepts (unlike [`QueryEngine::solve_batch`], which runs one solver
-/// over many queries with shared options).
+/// accepts ([`QueryEngine::solve_batch`] builds one per query, all with
+/// the same solver and options).
 #[derive(Debug, Clone)]
 pub struct GroupQuery {
     /// Registry name of the solver to run.
@@ -903,7 +878,8 @@ pub struct GroupStats {
     pub deduped: u64,
     /// Distinct solver executions the window ran.
     pub executed: u64,
-    /// Shared multi-source sweeps run for the window's prefetched roots.
+    /// Shared multi-source sweeps run for the window's prefetched roots
+    /// (at most one per window).
     pub shared_sweeps: u64,
     /// Lanes occupied across those sweeps (≤ 64 × `shared_sweeps`; the
     /// ratio is the window's lane occupancy).
@@ -978,6 +954,23 @@ fn duplicate_error(e: &CoreError) -> CoreError {
     }
 }
 
+/// Sorted union of per-job root lists, taken in job order and capped at
+/// `cap` roots; a job whose new roots would push the union past `cap` is
+/// left out and runs its own sweeps (with identical answers).
+/// [`QueryEngine::solve_group`] caps at one [`MS_BFS_LANES`]-lane sweep,
+/// so a window of any size (a large batch included) holds one sweep's
+/// distance arrays at a time.
+fn union_roots_capped(per_job: impl IntoIterator<Item = Vec<NodeId>>, cap: usize) -> Vec<NodeId> {
+    let mut roots: BTreeSet<NodeId> = BTreeSet::new();
+    for r in per_job {
+        let fresh = r.iter().filter(|v| !roots.contains(v)).count();
+        if roots.len() + fresh <= cap {
+            roots.extend(r);
+        }
+    }
+    roots.into_iter().collect()
+}
+
 /// How a [`QueryEngine`] holds its graph: borrowed (the library-embedding
 /// case, zero-cost) or shared ownership through an [`Arc`] (the serving
 /// case, where the engine must outlive the stack frame that built it).
@@ -1008,7 +1001,7 @@ pub type OwnedEngine = QueryEngine<'static>;
 ///
 /// Owns the string-keyed solver registry and the state worth amortizing
 /// across queries (see the [module docs](self)). Shareable across threads
-/// (`&QueryEngine` is `Send + Sync`); [`Self::solve_batch`] exploits that
+/// (`&QueryEngine` is `Send + Sync`); [`Self::solve_group`] exploits that
 /// with scoped worker threads. Engines either borrow their graph
 /// ([`Self::new`], the zero-cost embedding) or share ownership of it
 /// ([`Self::new_shared`], yielding an [`OwnedEngine`] free of borrowed
@@ -1072,8 +1065,6 @@ impl<'g> QueryEngine<'g> {
                 landmarks: approx_defaults.landmarks,
                 landmark_strategy: approx_defaults.strategy,
                 oracle_seed: 0x5EED,
-                kernel: true,
-                batch: true,
             },
             cache: SolveCache::new(
                 DEFAULT_SOLVE_CACHE_CAPACITY,
@@ -1145,26 +1136,6 @@ impl<'g> QueryEngine<'g> {
     /// budget are kept.
     pub fn set_solve_cache_ttl(&mut self, ttl: Option<Duration>) -> &mut Self {
         self.cache = SolveCache::new(self.cache.capacity, self.cache.max_bytes, ttl);
-        self
-    }
-
-    /// Toggles the direction-optimizing distance kernel for all solvers
-    /// of this engine (default: on). Distances — and therefore connectors
-    /// — are identical either way; the switch exists for benchmarking and
-    /// parity testing.
-    pub fn set_kernel_enabled(&mut self, enabled: bool) -> &mut Self {
-        self.shared.kernel = enabled;
-        self
-    }
-
-    /// Toggles the multi-source batched root sweep for all solvers of
-    /// this engine (default: on). Connectors are identical either way —
-    /// per-root parent trees are reconstructed from distances by a
-    /// deterministic rule, and multi-source distances are bit-identical
-    /// to per-source BFS; the switch exists for benchmarking and parity
-    /// testing (`wsq_batching_toggle_is_invisible_in_results`).
-    pub fn set_batch_enabled(&mut self, enabled: bool) -> &mut Self {
-        self.shared.batch = enabled;
         self
     }
 
@@ -1278,153 +1249,75 @@ impl<'g> QueryEngine<'g> {
         self.solve_with(solver, q, &QueryOptions::default())
     }
 
-    /// Solves one query with the named solver and explicit options.
+    /// Solves one query with the named solver and explicit options: a
+    /// one-query [`Self::solve_group`] window.
     pub fn solve_with(
         &self,
         solver: &str,
         q: &[NodeId],
         options: &QueryOptions,
     ) -> Result<SolveReport> {
-        self.solve_inner(solver, q, options, false)
+        let query = GroupQuery::new(solver, q.to_vec(), options.clone());
+        self.solve_group(std::slice::from_ref(&query))
+            .results
+            .pop()
+            .expect("one result per query")
     }
 
-    /// Shared solve path; `prefer_sequential` is set by batch workers so
-    /// solvers do not nest their own parallelism inside the batch's.
-    ///
-    /// Consults the engine's solve cache first: repeated `(solver,
-    /// canonical query, size budget)` triples are the serving norm, and a
-    /// hit returns the stored report (with `seconds` re-stamped to the
-    /// lookup time) without touching the solver. Deadline-bearing queries
-    /// bypass the cache entirely — their results depend on wall-clock
-    /// luck and must not be replayed as canonical answers — and
-    /// [`QueryOptions::no_cache`] forces a fresh, unstored solve.
-    fn solve_inner(
-        &self,
-        solver: &str,
-        q: &[NodeId],
-        options: &QueryOptions,
-        prefer_sequential: bool,
-    ) -> Result<SolveReport> {
-        let start = Instant::now();
-        let s = self.solver(solver)?;
-        let cacheable =
-            !self.cache.disabled() && !options.cache_disabled() && options.time_budget().is_none();
-        let key = cacheable.then(|| {
-            let mut canonical = q.to_vec();
-            canonical.sort_unstable();
-            canonical.dedup();
-            (solver.to_string(), canonical, options.size_budget())
-        });
-        if let Some(key) = &key {
-            let mut span = options.trace_context().span("cache_lookup");
-            let hit = self.cache.get(key);
-            span.counter("hit", hit.is_some() as u64);
-            drop(span);
-            if let Some(mut report) = hit {
-                report.seconds = start.elapsed().as_secs_f64();
-                return Ok(report);
-            }
-        }
-        let ctx = QueryContext::new(
-            self.graph.get(),
-            &self.shared,
-            options.clone(),
-            prefer_sequential,
-        );
-        let mut report = s.solve(&ctx, q)?;
-        report.seconds = start.elapsed().as_secs_f64();
-        if let Some(budget) = options.size_budget() {
-            if report.connector.len() > budget {
-                return Err(CoreError::BudgetExceeded {
-                    size: report.connector.len(),
-                    budget,
-                });
-            }
-        }
-        if let Some(key) = key {
-            self.cache.insert(key, report.clone());
-        }
-        Ok(report)
-    }
-
-    /// Solves a batch of queries with the named solver, in parallel across
-    /// scoped worker threads (one per available core, capped at the batch
-    /// size). Results keep the input order; each query gets its own
-    /// context, so deadlines are per query. Per-query errors are reported
-    /// in place — one infeasible query does not fail the batch.
+    /// Solves a batch of queries with the named solver: one
+    /// [`Self::solve_group`] window with a [`GroupQuery`] per query, so
+    /// distinct executions run in parallel across scoped worker threads,
+    /// identical queries share one execution, and root sweeps are shared.
+    /// Results keep the input order; each query gets its own context, so
+    /// deadlines are per query. Per-query errors are reported in place —
+    /// one infeasible query does not fail the batch.
     pub fn solve_batch(
         &self,
         solver: &str,
         queries: &[Vec<NodeId>],
         options: &QueryOptions,
     ) -> Vec<Result<SolveReport>> {
-        // Surface an unknown solver on every slot rather than panicking
-        // (the lookup is repeated per slot; it cannot succeed mid-batch).
-        if self.solver(solver).is_err() {
-            return queries
-                .iter()
-                .map(|_| match self.solver(solver) {
-                    Err(e) => Err(e),
-                    Ok(_) => unreachable!("registry is immutable during solve_batch"),
-                })
-                .collect();
-        }
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(queries.len());
-        if threads <= 1 {
-            return queries
-                .iter()
-                .map(|q| self.solve_with(solver, q, options))
-                .collect();
-        }
-        let mut slots: Vec<Option<Result<SolveReport>>> = Vec::new();
-        slots.resize_with(queries.len(), || None);
-        let chunk = queries.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (q_chunk, s_chunk) in queries.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (q, slot) in q_chunk.iter().zip(s_chunk.iter_mut()) {
-                        *slot = Some(self.solve_inner(solver, q, options, true));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every batch slot is filled by its worker"))
-            .collect()
+        let group: Vec<GroupQuery> = queries
+            .iter()
+            .map(|q| GroupQuery::new(solver, q.clone(), options.clone()))
+            .collect();
+        self.solve_group(&group).results
     }
 
     /// Solves a *heterogeneous* group of queries — mixed solvers, mixed
-    /// options — as one coalesced execution: the cross-request entry point
-    /// behind `mwc_service`'s per-graph coalescer.
+    /// options — as one coalesced execution: the engine's one admission
+    /// path. [`Self::solve`], [`Self::solve_with`] and [`Self::solve_batch`]
+    /// are windows over it, and `mwc_service`'s per-graph coalescer
+    /// gathers concurrent requests into one.
     ///
     /// Three passes:
     ///
     /// 1. **Admission** — per query: resolve the solver (unknown names
-    ///    error in place), canonicalize, consult the solve cache under the
-    ///    exact policy of [`Self::solve_with`], and *deduplicate* the
-    ///    remainder: queries with identical `(solver, canonical query,
-    ///    size budget)` share one execution (deadline-bearing queries are
-    ///    never shared — their results depend on wall-clock luck).
-    /// 2. **Prefetch** — when more than one execution remains, union every
-    ///    job's [`ConnectorSolver::coalesce_roots`] answer and run the
-    ///    union through shared 64-lane multi-source sweeps, so root BFS
-    ///    work that today runs once per request with mostly-empty lanes
-    ///    runs once per *window* with packed lanes.
+    ///    error in place), canonicalize (sort, deduplicate), and consult
+    ///    the solve cache: repeated `(solver, canonical query, size
+    ///    budget)` triples are the serving norm, and a hit returns the
+    ///    stored report (with `seconds` re-stamped) without touching the
+    ///    solver. Deadline-bearing queries bypass the cache — their
+    ///    results depend on wall-clock luck and must not be replayed as
+    ///    canonical answers — and [`QueryOptions::no_cache`] forces a
+    ///    fresh, unstored solve. The remainder is *deduplicated*: queries
+    ///    with identical triples share one execution (deadline-bearing
+    ///    queries are never shared).
+    /// 2. **Prefetch** — when more than one execution remains, union the
+    ///    jobs' [`ConnectorSolver::coalesce_roots`] answers, in job order,
+    ///    up to one 64-lane multi-source sweep, and run that sweep, so
+    ///    root BFS work that would run once per query with mostly-empty
+    ///    lanes runs once per *window* with packed lanes. Jobs whose
+    ///    roots do not fit run their own sweeps in pass 3, in parallel.
     /// 3. **Execute** — jobs run across scoped worker threads (sequential
-    ///    solver internals, as in [`Self::solve_batch`]), each consuming
-    ///    the prefetched arrays; results fan back out to every member in
-    ///    input order.
+    ///    solver internals when several jobs run at once), each consuming
+    ///    the prefetched arrays and receiving the canonical query; results
+    ///    fan back out to every member in input order.
     ///
-    /// Results are **bit-identical** to per-query [`Self::solve_with`]
-    /// calls (multi-source lanes are independent; pinned by the group
-    /// parity tests and the service-level coalescer suite).
+    /// Results are **bit-identical** to solving each query alone
+    /// (multi-source lanes are independent; pinned by the group parity
+    /// tests and the service-level coalescer suite). Every report's
+    /// `seconds` counts from the start of the window.
     pub fn solve_group(&self, queries: &[GroupQuery]) -> GroupOutcome {
         let start = Instant::now();
         let mut stats = GroupStats {
@@ -1487,45 +1380,42 @@ impl<'g> QueryEngine<'g> {
         }
         stats.executed = jobs.len() as u64;
 
-        // Pass 2: prefetch the union of every job's root sweeps through
-        // shared multi-source batches. Only worth it when executions can
+        // Pass 2: prefetch the union of the jobs' root sweeps through one
+        // shared multi-source sweep. Only worth it when executions can
         // actually share lanes; a lone job packs its own lanes already.
         let mut shared: Option<Arc<SharedRootDists>> = None;
         if jobs.len() > 1 {
-            let mut roots: BTreeSet<NodeId> = BTreeSet::new();
-            for job in &jobs {
+            let per_job = jobs.iter().filter_map(|job| {
                 let s = self.solver(job.solver).expect("resolved in pass 1");
                 let ctx =
                     QueryContext::new(self.graph.get(), &self.shared, job.options.clone(), false);
-                if let Some(r) = s.coalesce_roots(&ctx, &job.canonical) {
-                    roots.extend(r);
-                }
-            }
+                s.coalesce_roots(&ctx, &job.canonical)
+            });
+            let roots = union_roots_capped(per_job, MS_BFS_LANES);
             if roots.len() > 1 {
-                let roots: Vec<NodeId> = roots.into_iter().collect();
                 let mut ms = MsDistWorkspace::lease(&self.shared.pool, self.graph.get());
-                let mut map = SharedRootDists::with_capacity(roots.len());
-                for batch in roots.chunks(MS_BFS_LANES) {
-                    let arrays = batched_root_distances_dispatch(self.graph.get(), batch, &mut ms);
-                    stats.shared_sweeps += 1;
-                    stats.shared_lanes += batch.len() as u64;
-                    for (&r, d) in batch.iter().zip(arrays) {
-                        map.insert(r, Arc::new(d));
-                    }
-                }
-                stats.shared_roots = map.len() as u64;
+                let arrays = batched_root_distances_dispatch(self.graph.get(), &roots, &mut ms);
+                stats.shared_sweeps = 1;
+                stats.shared_lanes = roots.len() as u64;
+                stats.shared_roots = roots.len() as u64;
+                let map: SharedRootDists = roots
+                    .iter()
+                    .zip(arrays)
+                    .map(|(&r, d)| (r, Arc::new(d)))
+                    .collect();
                 shared = Some(Arc::new(map));
             }
         }
 
-        // Pass 3: execute and fan out. Mirrors solve_batch's threading:
-        // one chunk per core, sequential solver internals when several
-        // jobs run concurrently.
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(jobs.len().max(1));
-        let results: Vec<Result<SolveReport>> = if jobs.len() <= 1 || threads <= 1 {
+        // Pass 3: execute and fan out: one chunk per core, sequential
+        // solver internals when several jobs run concurrently. The core
+        // count is only asked for when there is a choice: on Linux the
+        // query reads cgroup files, which would dominate a cache hit.
+        let threads = match jobs.len() {
+            0 | 1 => 1,
+            n => std::thread::available_parallelism().map_or(1, |p| p.get().min(n)),
+        };
+        let results: Vec<Result<SolveReport>> = if threads <= 1 {
             jobs.iter()
                 .map(|job| {
                     self.solve_prefetched(
@@ -1590,10 +1480,10 @@ impl<'g> QueryEngine<'g> {
         }
     }
 
-    /// One job of a [`Self::solve_group`] window: like
-    /// [`Self::solve_inner`] but with the cache lookup already done by the
-    /// window's admission pass (`cache_insert` carries its verdict) and
-    /// the prefetched root distances attached to the context.
+    /// One job of a [`Self::solve_group`] window: runs the solver on the
+    /// canonical query with the prefetched root distances attached to the
+    /// context, enforces the size budget, and stores the report when the
+    /// admission pass found the query cacheable (`cache_insert`).
     #[allow(clippy::too_many_arguments)]
     fn solve_prefetched(
         &self,
@@ -1868,11 +1758,22 @@ mod tests {
     fn batch_reports_per_query_errors_in_place() {
         let split = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         let engine = QueryEngine::new(&split);
-        let queries: Vec<Vec<NodeId>> = vec![vec![0, 1], vec![0, 3], vec![2, 3]];
+        // Slots 3 and 4 duplicate a feasible and an infeasible query: the
+        // batch deduplicates them, and every slot must still be answered.
+        let queries: Vec<Vec<NodeId>> = vec![
+            vec![0, 1],
+            vec![0, 3],
+            vec![2, 3],
+            vec![1, 0, 1],
+            vec![3, 0],
+        ];
         let batch = engine.solve_batch("ws-q", &queries, &QueryOptions::default());
+        assert_eq!(batch.len(), queries.len());
         assert!(batch[0].is_ok());
         assert!(matches!(batch[1], Err(CoreError::QueryNotConnectable)));
         assert!(batch[2].is_ok());
+        assert_eq!(batch[3].as_ref().unwrap(), batch[0].as_ref().unwrap());
+        assert!(matches!(batch[4], Err(CoreError::QueryNotConnectable)));
         // Unknown solvers error on every slot instead of panicking.
         let bad = engine.solve_batch("nope", &queries, &QueryOptions::default());
         assert!(bad
@@ -1964,48 +1865,6 @@ mod tests {
                 assert_eq!(first.optimal, other.optimal);
             }
         }
-    }
-
-    #[test]
-    fn kernel_toggle_is_observable_and_parity_holds() {
-        let g = karate_club();
-        let mut engine = QueryEngine::new(&g);
-        assert!(engine.context(QueryOptions::default()).kernel_enabled());
-        let q = [11u32, 24, 25, 29];
-        let on = engine.solve("ws-q", &q).unwrap();
-        engine.set_kernel_enabled(false);
-        assert!(!engine.context(QueryOptions::default()).kernel_enabled());
-        let off = engine
-            .solve_with("ws-q", &q, &QueryOptions::new().no_cache())
-            .unwrap();
-        assert_eq!(on.connector.vertices(), off.connector.vertices());
-        assert_eq!(on.wiener_index, off.wiener_index);
-    }
-
-    #[test]
-    fn wsq_batching_toggle_is_invisible_in_results() {
-        let g = karate_club();
-        let mut engine = QueryEngine::new(&g);
-        assert!(engine.context(QueryOptions::default()).batch_enabled());
-        let q = [11u32, 24, 25, 29];
-        let on = engine.solve("ws-q", &q).unwrap();
-        engine.set_batch_enabled(false);
-        assert!(!engine.context(QueryOptions::default()).batch_enabled());
-        let off = engine
-            .solve_with("ws-q", &q, &QueryOptions::new().no_cache())
-            .unwrap();
-        assert_eq!(on.connector.vertices(), off.connector.vertices());
-        assert_eq!(on.wiener_index, off.wiener_index);
-        assert_eq!(on.candidates, off.candidates);
-        // The approximate solver honors the toggle too.
-        engine.set_batch_enabled(true);
-        let a_on = engine.solve("ws-q-approx", &q).unwrap();
-        engine.set_batch_enabled(false);
-        let a_off = engine
-            .solve_with("ws-q-approx", &q, &QueryOptions::new().no_cache())
-            .unwrap();
-        assert_eq!(a_on.connector.vertices(), a_off.connector.vertices());
-        assert_eq!(a_on.wiener_index, a_off.wiener_index);
     }
 
     #[test]
@@ -2288,6 +2147,14 @@ mod tests {
             lone.results[0].as_ref().unwrap().connector.vertices(),
             direct.connector.vertices()
         );
+    }
+
+    #[test]
+    fn prefetch_union_skips_jobs_past_the_cap() {
+        let jobs = vec![vec![1, 2, 3], vec![3, 4], vec![5, 6, 7], vec![2, 8]];
+        // {1,2,3} + {4} fit in 5; {5,6,7} would make 7; {8} makes 5.
+        assert_eq!(union_roots_capped(jobs.clone(), 5), vec![1, 2, 3, 4, 8]);
+        assert_eq!(union_roots_capped(jobs, 64), vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     use mwc_graph::Graph;

@@ -13,7 +13,8 @@
 //! * [`engine`] — the unified serving API: the [`ConnectorSolver`] trait
 //!   every method implements and the per-graph [`QueryEngine`] that
 //!   amortizes BFS workspaces, centrality vectors, and the landmark
-//!   oracle across many queries (`solve` / parallel `solve_batch`);
+//!   oracle across many queries (`solve`, `solve_batch` and the
+//!   coalesced `solve_group` they all run through);
 //! * [`wsq`] — the paper's main contribution: a constant-factor
 //!   approximation running in `Õ(|Q||E|)` (Algorithm 1), exposed as
 //!   [`WienerSteiner`];

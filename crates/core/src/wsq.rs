@@ -89,30 +89,6 @@ pub struct WsqConfig {
     /// [`QueryOptions::deadline`](crate::engine::QueryOptions::deadline)
     /// rather than directly.
     pub deadline: Option<Instant>,
-    /// Route the solver's distance-only BFS runs (feasibility check,
-    /// per-root distances when [`WsqConfig::batch`] is off, `A(H, r)`
-    /// candidate evaluation) through the direction-optimizing kernel
-    /// ([`BfsWorkspace::run_auto`]
-    /// (mwc_graph::traversal::bfs::BfsWorkspace::run_auto)). Distances —
-    /// and therefore connectors — are bit-identical either way (pinned by
-    /// `kernel_toggle_yields_identical_connectors`); the flag exists so
-    /// the kernel bench and parity tests can hold everything else fixed.
-    /// BFS-tree parents are no longer scan-order artifacts: they are
-    /// derived from the distances by the deterministic
-    /// [`canonical_parent`] rule, so every kernel feeds `AdjustDistances`
-    /// the same trees.
-    pub kernel: bool,
-    /// Batch Algorithm 1's per-root sweep through the multi-source BFS
-    /// kernel: the `|Q|` root distance computations (line 1) and the
-    /// feasibility pass run as `⌈|Q|/64⌉` shared CSR sweeps
-    /// ([`MsBfsWorkspace`]) instead of one BFS per root, and the per-root
-    /// parent trees feeding `AdjustDistances` are reconstructed on demand
-    /// from the distance matrix ([`canonical_parent`]). Connectors are
-    /// **bit-identical** with batching on or off (pinned by
-    /// `batch_toggle_yields_identical_connectors` and the engine-level
-    /// parity tests); the flag exists for the `wsq_batched` bench section
-    /// and A/B parity testing.
-    pub batch: bool,
     /// Per-request trace context: when enabled the solver records
     /// `feasibility`, `root_sweep` (with lane/sweep/candidate counters
     /// and accumulated `AdjustDistances` time), and `evaluate` stage
@@ -134,8 +110,6 @@ impl Default for WsqConfig {
             steiner: SteinerAlgorithm::default(),
             node_weighted_steiner: false,
             deadline: None,
-            kernel: true,
-            batch: true,
             trace: TraceContext::default(),
         }
     }
@@ -256,12 +230,11 @@ impl<'g> WienerSteiner<'g> {
             RootPolicy::AllVertices => g.nodes().collect(),
         };
 
-        let use_batch = self.config.batch && roots.len() > 1;
         // Feasibility: all query vertices in one component, checked from
-        // q[0]. Under the batched QueryOnly sweep the check is folded
-        // into the first multi-source batch below (lane 0 *is* q[0], so
-        // it costs nothing); every other configuration pays one BFS here.
-        let feasibility_folded = use_batch && matches!(self.config.roots, RootPolicy::QueryOnly);
+        // q[0]. Under QueryOnly the check is folded into the first
+        // multi-source sweep below (lane 0 *is* q[0], so it costs
+        // nothing); AllVertices pays one traversal here.
+        let feasibility_folded = matches!(self.config.roots, RootPolicy::QueryOnly);
         if !feasibility_folded {
             let span = self.config.trace.span("feasibility");
             let infeasible = if g.is_weighted() {
@@ -270,11 +243,7 @@ impl<'g> WienerSteiner<'g> {
                 q.iter().any(|&v| dist[v as usize] == INF_DIST)
             } else {
                 let mut ws = pool.lease();
-                let dist = if self.config.kernel {
-                    ws.run_auto(g, q[0])
-                } else {
-                    ws.run(g, q[0])
-                };
+                let dist = ws.run_auto(g, q[0]);
                 q.iter().any(|&v| dist[v as usize] == INF_DIST)
             };
             drop(span);
@@ -300,69 +269,55 @@ impl<'g> WienerSteiner<'g> {
         let adjust_acc = AtomicU64::new(0);
         let adjust_us = traced.then_some(&adjust_acc);
 
-        // The candidate stream: identical root order (and therefore
-        // identical records) whether the per-root distances come from
-        // ⌈|roots|/64⌉ shared multi-source sweeps or one BFS per root.
+        // The candidate stream, in root order: per-root distances come
+        // from ⌈|roots|/64⌉ shared multi-source sweeps. The workspace is
+        // leased lazily: when `shared` covers every batch (the fully
+        // coalesced case) no sweep runs here at all.
         let mut all: Vec<EvaluatedCandidate> = Vec::new();
         let mut ms: Option<MsDistWorkspace<'_>> = None;
-        if use_batch {
-            // The multi-source workspace is leased lazily: when `shared`
-            // covers every batch (the fully coalesced case) no sweep runs
-            // here at all.
-            for (bi, batch) in roots.chunks(MS_BFS_LANES).enumerate() {
-                // Cooperative deadline between batches; the first batch
-                // always runs so a feasible connector is still produced.
-                if !all.is_empty() && past_deadline(&self.config) {
-                    break;
-                }
-                // Use the prefetched arrays only when they cover the whole
-                // batch — a partially covered batch recomputes everything,
-                // keeping the sweep accounting simple (in practice the
-                // coalescer prefetches all roots or none).
-                let dists: Vec<Arc<Vec<u32>>> = match shared {
-                    Some(map) if batch.iter().all(|r| map.contains_key(r)) => batch
-                        .iter()
-                        .map(|r| Arc::clone(map.get(r).expect("checked above")))
-                        .collect(),
-                    _ => {
-                        if ms.is_none() {
-                            let leased = MsDistWorkspace::lease(pool, g);
-                            // Pooled workspaces carry counters across
-                            // leases; report this solve's delta only.
-                            kernel_levels_base = leased.expanded();
-                            ms = Some(leased);
-                        }
-                        let ms = ms.as_mut().expect("leased above");
-                        local_sweeps += 1;
-                        local_lanes += batch.len() as u64;
-                        batched_root_distances_dispatch(g, batch, ms)
-                            .into_iter()
-                            .map(Arc::new)
-                            .collect()
-                    }
-                };
-                if bi == 0 && feasibility_folded {
-                    // The check rides lane 0 of the sweep that just ran,
-                    // so the marginal cost — and the span — is ~zero.
-                    let span = self.config.trace.span("feasibility");
-                    let infeasible = q.iter().any(|&v| dists[0][v as usize] == INF_DIST);
-                    drop(span);
-                    if infeasible {
-                        return Err(CoreError::QueryNotConnectable);
-                    }
-                }
-                all.extend(self.sweep_roots(
-                    g,
-                    &q,
-                    batch,
-                    Some(&dists),
-                    &lambdas,
-                    pool,
-                    adjust_us,
-                )?);
+        for (bi, batch) in roots.chunks(MS_BFS_LANES).enumerate() {
+            // Cooperative deadline between batches; the first batch
+            // always runs so a feasible connector is still produced.
+            if !all.is_empty() && past_deadline(&self.config) {
+                break;
             }
-        } else {
-            all = self.sweep_roots(g, &q, &roots, None, &lambdas, pool, adjust_us)?;
+            // Use the prefetched arrays only when they cover the whole
+            // batch — a partially covered batch recomputes everything,
+            // keeping the sweep accounting simple (a window prefetches a
+            // job's roots all or none; other jobs' roots may cover some).
+            let dists: Vec<Arc<Vec<u32>>> = match shared {
+                Some(map) if batch.iter().all(|r| map.contains_key(r)) => batch
+                    .iter()
+                    .map(|r| Arc::clone(map.get(r).expect("checked above")))
+                    .collect(),
+                _ => {
+                    if ms.is_none() {
+                        let leased = MsDistWorkspace::lease(pool, g);
+                        // Pooled workspaces carry counters across
+                        // leases; report this solve's delta only.
+                        kernel_levels_base = leased.expanded();
+                        ms = Some(leased);
+                    }
+                    let ms = ms.as_mut().expect("leased above");
+                    local_sweeps += 1;
+                    local_lanes += batch.len() as u64;
+                    batched_root_distances_dispatch(g, batch, ms)
+                        .into_iter()
+                        .map(Arc::new)
+                        .collect()
+                }
+            };
+            if bi == 0 && feasibility_folded {
+                // The check rides lane 0 of the sweep that just ran, so
+                // the marginal cost — and the span — is ~zero.
+                let span = self.config.trace.span("feasibility");
+                let infeasible = q.iter().any(|&v| dists[0][v as usize] == INF_DIST);
+                drop(span);
+                if infeasible {
+                    return Err(CoreError::QueryNotConnectable);
+                }
+            }
+            all.extend(self.sweep_roots(g, &q, batch, &dists, &lambdas, pool, adjust_us)?);
         }
         if let Some(t0) = sweep_start {
             let kernel_levels = ms.as_ref().map_or(0, |w| w.expanded() - kernel_levels_base);
@@ -455,18 +410,17 @@ impl<'g> WienerSteiner<'g> {
     }
 
     /// Fans the λ sweep for `roots` out across scoped worker threads
-    /// (§6.6's embarrassing root parallelism). `dists`, when present,
-    /// carries precomputed per-root distance arrays aligned with `roots`
-    /// (the batched path); chunk boundaries split both in lockstep, and
-    /// the merge keeps root order, so threading never changes the
-    /// candidate stream.
+    /// (§6.6's embarrassing root parallelism). `dists` carries the
+    /// per-root distance arrays aligned with `roots`; chunk boundaries
+    /// split both in lockstep, and the merge keeps root order, so
+    /// threading never changes the candidate stream.
     #[allow(clippy::too_many_arguments)]
     fn sweep_roots(
         &self,
         g: &Graph,
         q: &[NodeId],
         roots: &[NodeId],
-        dists: Option<&[Arc<Vec<u32>>]>,
+        dists: &[Arc<Vec<u32>>],
         lambdas: &[f64],
         pool: &WorkspacePool,
         adjust_us: Option<&AtomicU64>,
@@ -488,7 +442,7 @@ impl<'g> WienerSteiner<'g> {
                 .chunks(chunk)
                 .enumerate()
                 .map(|(i, chunk_roots)| {
-                    let dists_chunk = dists.map(|d| &d[i * chunk..i * chunk + chunk_roots.len()]);
+                    let dists_chunk = &dists[i * chunk..i * chunk + chunk_roots.len()];
                     let (q, lambdas, cfg) = (q, lambdas, &self.config);
                     scope.spawn(move || {
                         run_roots(
@@ -522,7 +476,7 @@ impl<'g> WienerSteiner<'g> {
 /// [`MS_BFS_LANES`] roots at once, gathered into one per-root array each.
 /// Bit-identical to per-root [`BfsWorkspace::run`]
 /// (mwc_graph::traversal::bfs::BfsWorkspace::run) distances — this is
-/// Algorithm 1 line 1 as the batched `ws-q` path executes it, exposed so
+/// Algorithm 1 line 1 as `ws-q` executes it, exposed so
 /// the `wsq_batched` bench section measures exactly the solver's code.
 pub fn batched_root_distances(
     g: &Graph,
@@ -537,7 +491,7 @@ pub fn batched_root_distances(
 /// delta-stepping lanes ([`MsDeltaWorkspace`]
 /// (mwc_graph::traversal::delta::MsDeltaWorkspace)) for weighted ones.
 /// Both kernels produce per-root arrays bit-identical to their sequential
-/// references, so the batched solver and the engine's cross-request
+/// references, so the solver and the engine's cross-request
 /// prefetch can share arrays regardless of which leased the workspace.
 pub enum MsDistWorkspace<'p> {
     /// Unweighted graphs: 64-lane multi-source BFS.
@@ -569,7 +523,7 @@ impl<'p> MsDistWorkspace<'p> {
 /// [`batched_root_distances`] with kernel dispatch: weighted graphs route
 /// through the batched delta-stepping kernel
 /// ([`multi_source_delta_distances`]), unweighted ones through MS-BFS.
-/// The solver's batched sweep and
+/// The solver's own sweep and
 /// [`QueryEngine::solve_group`](crate::engine::QueryEngine::solve_group)'s
 /// prefetch both go through here, so coalesced and uncoalesced solves run
 /// the same kernel on the same graph.
@@ -586,7 +540,7 @@ pub fn batched_root_distances_dispatch(
 
 /// Per-root distance arrays shared *across* queries: root vertex →
 /// distances-from-root, produced by the same [`multi_source_distances`]
-/// kernel the batched solver runs itself. Built by
+/// kernel the solver runs itself. Built by
 /// [`QueryEngine::solve_group`](crate::engine::QueryEngine::solve_group)
 /// from the union of all coalesced queries' roots and consumed by
 /// [`WienerSteiner::solve_pooled_shared`]; the `Arc`s let many concurrent
@@ -636,28 +590,23 @@ fn past_deadline(cfg: &WsqConfig) -> bool {
 /// Worker: full λ sweep for a chunk of roots, returning evaluated
 /// candidates.
 ///
-/// `dists`, when present, is the batched path's precomputed per-root
-/// distance slice (aligned with `roots`); otherwise each root pays one
-/// BFS here. Either way the BFS-tree parents feeding `AdjustDistances`
-/// are derived on demand from the distances by the deterministic
-/// [`canonical_parent`] rule — a pure function of the (kernel-invariant)
-/// distance array, so every configuration grafts identical paths.
+/// `dists` is the per-root distance slice (aligned with `roots`). The
+/// BFS-tree parents feeding `AdjustDistances` are derived on demand from
+/// the distances by the deterministic [`canonical_parent`] rule — a pure
+/// function of the distance array, so shared (coalesced) and local
+/// sweeps graft identical paths.
 #[allow(clippy::too_many_arguments)]
 fn run_roots(
     g: &Graph,
     cfg: &WsqConfig,
     q: &[NodeId],
     roots: &[NodeId],
-    dists: Option<&[Arc<Vec<u32>>]>,
+    dists: &[Arc<Vec<u32>>],
     lambdas: &[f64],
     pool: &WorkspacePool,
     adjust_us: Option<&AtomicU64>,
 ) -> Result<Vec<EvaluatedCandidate>> {
     let mut out = Vec::with_capacity(roots.len() * lambdas.len());
-    // Per-root distances come from the kernel matching the graph:
-    // delta-stepping on weighted graphs, BFS otherwise.
-    let mut ws = (!g.is_weighted()).then(|| pool.lease());
-    let mut delta = g.is_weighted().then(|| pool.lease_delta());
     let mut terminals: Vec<NodeId> = Vec::with_capacity(q.len() + 1);
     for (i, &r) in roots.iter().enumerate() {
         // Cooperative deadline: stop sweeping further roots, but never
@@ -665,22 +614,7 @@ fn run_roots(
         if !out.is_empty() && past_deadline(cfg) {
             break;
         }
-        let dist_r: &[u32] = match dists {
-            Some(d) => d[i].as_slice(),
-            None => match delta.as_mut() {
-                Some(dw) => dw.run(g, r),
-                None => {
-                    let ws = ws
-                        .as_mut()
-                        .expect("unweighted graphs lease a BFS workspace");
-                    if cfg.kernel {
-                        ws.run_auto(g, r)
-                    } else {
-                        ws.run(g, r)
-                    }
-                }
-            },
-        };
+        let dist_r: &[u32] = dists[i].as_slice();
         // Terminals: Q ∪ {r} (identical to Q under RootPolicy::QueryOnly).
         terminals.clear();
         terminals.extend_from_slice(q);
@@ -724,7 +658,7 @@ fn run_roots(
                 tree
             };
             let nodes = final_tree.nodes;
-            let a_value = evaluate_a(g, &nodes, r, pool, cfg.kernel)?;
+            let a_value = evaluate_a(g, &nodes, r, pool)?;
             out.push((
                 CandidateRecord {
                     root: r,
@@ -748,7 +682,6 @@ pub(crate) fn evaluate_a(
     nodes: &[NodeId],
     r: NodeId,
     pool: &WorkspacePool,
-    kernel: bool,
 ) -> Result<u64> {
     let sub = g.induced(nodes)?;
     let r_local = sub.to_local(r).expect("root belongs to its candidate");
@@ -758,11 +691,7 @@ pub(crate) fn evaluate_a(
         ws.last_run_distance_sum()
     } else {
         let mut ws = pool.lease();
-        if kernel {
-            ws.run_auto(sub.graph(), r_local);
-        } else {
-            ws.run(sub.graph(), r_local);
-        }
+        ws.run_auto(sub.graph(), r_local);
         ws.last_run_distance_sum()
     };
     debug_assert_eq!(
@@ -975,78 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_toggle_yields_identical_connectors() {
-        // The multi-source batched root sweep changes how distances are
-        // produced, never what they are — and parents are a pure function
-        // of distances — so connectors must be bit-identical with
-        // batching on or off.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(73);
-        let g = mwc_graph::generators::barabasi_albert(600, 3, &mut rng);
-        for _ in 0..5 {
-            let size = rng.gen_range(2..=6usize);
-            let q: Vec<NodeId> = (0..size).map(|_| rng.gen_range(0..600)).collect();
-            let on = WienerSteiner::with_config(
-                &g,
-                WsqConfig {
-                    batch: true,
-                    parallel: false,
-                    ..WsqConfig::default()
-                },
-            )
-            .solve(&q)
-            .unwrap();
-            let off = WienerSteiner::with_config(
-                &g,
-                WsqConfig {
-                    batch: false,
-                    parallel: false,
-                    ..WsqConfig::default()
-                },
-            )
-            .solve(&q)
-            .unwrap();
-            assert_eq!(on.connector.vertices(), off.connector.vertices(), "{q:?}");
-            assert_eq!(on.wiener_index, off.wiener_index);
-            assert_eq!(on.num_candidates, off.num_candidates);
-            assert_eq!(
-                (on.best_root, on.best_lambda),
-                (off.best_root, off.best_lambda)
-            );
-        }
-    }
-
-    #[test]
-    fn batch_parity_holds_with_all_vertices_roots() {
-        // AllVertices spans multiple 64-lane batches on the karate club +
-        // margin graph; the standalone feasibility path and the per-batch
-        // sweeps must agree with the per-root path.
-        let g = mwc_graph::generators::barabasi_albert(
-            150,
-            2,
-            &mut rand::rngs::StdRng::seed_from_u64(79),
-        );
-        let q = vec![3u32, 77, 149];
-        let mk = |batch: bool| {
-            WienerSteiner::with_config(
-                &g,
-                WsqConfig {
-                    roots: RootPolicy::AllVertices,
-                    batch,
-                    parallel: false,
-                    ..WsqConfig::default()
-                },
-            )
-            .solve(&q)
-            .unwrap()
-        };
-        let on = mk(true);
-        let off = mk(false);
-        assert_eq!(on.connector.vertices(), off.connector.vertices());
-        assert_eq!(on.wiener_index, off.wiener_index);
-        assert_eq!(on.num_candidates, off.num_candidates);
-    }
-
-    #[test]
     fn batched_root_distances_match_per_root_bfs() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(83);
         let g = mwc_graph::generators::barabasi_albert(500, 3, &mut rng);
@@ -1130,13 +987,15 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_query_is_rejected_with_batching_on_and_off() {
+    fn infeasible_query_is_rejected_under_both_root_policies() {
+        // QueryOnly folds the check into the first sweep's lane 0;
+        // AllVertices runs its own traversal from q[0].
         let split = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        for batch in [true, false] {
+        for roots in [RootPolicy::QueryOnly, RootPolicy::AllVertices] {
             let solver = WienerSteiner::with_config(
                 &split,
                 WsqConfig {
-                    batch,
+                    roots,
                     ..WsqConfig::default()
                 },
             );
@@ -1163,10 +1022,9 @@ mod tests {
 
     #[test]
     fn weighted_solves_are_toggle_invariant() {
-        // On weighted graphs every distance comes from delta-stepping
-        // (batched or single-source) — and delta-stepping is pinned
-        // bit-identical to Dijkstra — so batching, parallelism, and
-        // coalesced shared distances must all leave the connector fixed.
+        // On weighted graphs every distance comes from delta-stepping —
+        // pinned bit-identical to Dijkstra — so parallelism and coalesced
+        // shared distances must both leave the connector fixed.
         let mut rng = rand::rngs::StdRng::seed_from_u64(97);
         let base = mwc_graph::generators::barabasi_albert(400, 3, &mut rng);
         let g = weighted_version(&base, 9);
@@ -1175,32 +1033,20 @@ mod tests {
             let reference = WienerSteiner::with_config(
                 &g,
                 WsqConfig {
-                    batch: false,
                     parallel: false,
                     ..WsqConfig::default()
                 },
             )
             .solve(&q)
             .unwrap();
-            for (batch, parallel) in [(true, false), (true, true), (false, true)] {
-                let sol = WienerSteiner::with_config(
-                    &g,
-                    WsqConfig {
-                        batch,
-                        parallel,
-                        ..WsqConfig::default()
-                    },
-                )
-                .solve(&q)
-                .unwrap();
-                assert_eq!(
-                    sol.connector.vertices(),
-                    reference.connector.vertices(),
-                    "batch={batch} parallel={parallel} {q:?}"
-                );
-                assert_eq!(sol.wiener_index, reference.wiener_index);
-                assert_eq!(sol.num_candidates, reference.num_candidates);
-            }
+            let parallel = WienerSteiner::new(&g).solve(&q).unwrap();
+            assert_eq!(
+                parallel.connector.vertices(),
+                reference.connector.vertices(),
+                "{q:?}"
+            );
+            assert_eq!(parallel.wiener_index, reference.wiener_index);
+            assert_eq!(parallel.num_candidates, reference.num_candidates);
             // The coalescing path: shared arrays from the weighted batched
             // kernel, exactly as solve_group prefetches them.
             let q_norm = normalize_query(&g, &q).unwrap();
@@ -1244,40 +1090,6 @@ mod tests {
             let u = WienerSteiner::new(&base).solve(&q).unwrap();
             assert_eq!(w.connector.vertices(), u.connector.vertices(), "{q:?}");
             assert_eq!(w.wiener_index, u.wiener_index);
-        }
-    }
-
-    #[test]
-    fn kernel_toggle_yields_identical_connectors() {
-        // The direction-optimizing kernel only changes scan order, never
-        // distances — connectors must be bit-identical with it on or off.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(71);
-        let g = mwc_graph::generators::barabasi_albert(500, 3, &mut rng);
-        for _ in 0..5 {
-            let q: Vec<NodeId> = (0..4).map(|_| rng.gen_range(0..500)).collect();
-            let on = WienerSteiner::with_config(
-                &g,
-                WsqConfig {
-                    kernel: true,
-                    parallel: false,
-                    ..WsqConfig::default()
-                },
-            )
-            .solve(&q)
-            .unwrap();
-            let off = WienerSteiner::with_config(
-                &g,
-                WsqConfig {
-                    kernel: false,
-                    parallel: false,
-                    ..WsqConfig::default()
-                },
-            )
-            .solve(&q)
-            .unwrap();
-            assert_eq!(on.connector.vertices(), off.connector.vertices(), "{q:?}");
-            assert_eq!(on.wiener_index, off.wiener_index);
-            assert_eq!(on.num_candidates, off.num_candidates);
         }
     }
 }

@@ -48,24 +48,12 @@ pub struct ApproxWsqConfig {
     /// Exact-Wiener evaluation threshold (Remark 1; see
     /// [`crate::WsqConfig::wiener_exact_threshold`]).
     pub wiener_exact_threshold: usize,
-    /// Route distance-only BFS runs (feasibility, `A(H, r)` evaluation)
-    /// through the direction-optimizing kernel; see
-    /// [`crate::WsqConfig::kernel`]. Results are bit-identical either
-    /// way.
-    pub kernel: bool,
     /// Allow internal parallelism (currently: the multi-source parallel
     /// Wiener evaluation of Remark-1 survivors). The engine clears this
-    /// inside `solve_batch` workers so solvers do not nest one thread
-    /// pool per worker — same contract as [`crate::WsqConfig::parallel`].
+    /// when it runs several queries at once on its own worker threads,
+    /// so solvers do not nest one thread pool per worker — same contract
+    /// as [`crate::WsqConfig::parallel`].
     pub parallel: bool,
-    /// Batch the per-root landmark estimates: all `|Q|` root distance
-    /// vectors come from **one pass** over the oracle's `k × |V|` matrix
-    /// ([`LandmarkOracle::estimate_all_multi`]) instead of `|Q|` separate
-    /// sweeps — each landmark row is folded into every root while
-    /// cache-hot. Estimates (and therefore connectors) are identical
-    /// either way; the flag mirrors [`crate::WsqConfig::batch`] for A/B
-    /// parity testing.
-    pub batch: bool,
 }
 
 impl Default for ApproxWsqConfig {
@@ -76,9 +64,7 @@ impl Default for ApproxWsqConfig {
             strategy: LandmarkStrategy::HighestDegree,
             steiner: SteinerAlgorithm::default(),
             wiener_exact_threshold: 4096,
-            kernel: true,
             parallel: true,
-            batch: true,
         }
     }
 }
@@ -175,34 +161,19 @@ pub fn solve_with_oracle(
     // Feasibility stays exact: one BFS, not one per root.
     {
         let mut ws = pool.lease();
-        let dist = if config.kernel {
-            ws.run_auto(g, q[0])
-        } else {
-            ws.run(g, q[0])
-        };
+        let dist = ws.run_auto(g, q[0]);
         if q.iter().any(|&v| dist[v as usize] == INF_DIST) {
             return Err(CoreError::QueryNotConnectable);
         }
     }
 
     let lambdas = lambda_grid(g.num_nodes(), config.beta);
-    // Batched root estimates: one pass over the landmark matrix serves
-    // every root (identical values to per-root `estimate_all` calls).
-    let root_dists = if config.batch {
-        Some(oracle.estimate_all_multi(&q))
-    } else {
-        None
-    };
+    // Root estimates: one pass over the oracle's `k × |V|` matrix serves
+    // every root, each landmark row folded into every root while
+    // cache-hot (identical values to per-root `estimate_all` calls).
+    let root_dists = oracle.estimate_all_multi(&q);
     let mut all: Vec<(CandidateRecord, Vec<NodeId>)> = Vec::new();
-    for (ri, &r) in q.iter().enumerate() {
-        let per_root;
-        let dist_r: &[u32] = match &root_dists {
-            Some(d) => &d[ri],
-            None => {
-                per_root = oracle.estimate_all(r);
-                &per_root
-            }
-        };
+    for (&r, dist_r) in q.iter().zip(root_dists.iter().map(Vec::as_slice)) {
         for &lambda in &lambdas {
             let weight = |u: NodeId, v: NodeId| {
                 // Unreachable vertices never appear on used paths (the
@@ -217,7 +188,7 @@ pub fn solve_with_oracle(
             };
             let tree = steiner_tree(config.steiner, g, &q, weight)?;
             let nodes = tree.nodes;
-            let a_value = evaluate_a(g, &nodes, r, pool, config.kernel)?;
+            let a_value = evaluate_a(g, &nodes, r, pool)?;
             all.push((
                 CandidateRecord {
                     root: r,
@@ -372,36 +343,6 @@ mod tests {
             solver.solve(&[0, 3]),
             Err(CoreError::QueryNotConnectable)
         ));
-    }
-
-    #[test]
-    fn batch_toggle_yields_identical_connectors() {
-        // Batched landmark estimates are the same min over the same
-        // terms, so candidate trees — and connectors — must not move.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let g = mwc_graph::generators::barabasi_albert(300, 3, &mut rng);
-        let mk = |batch: bool| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-            ApproxWienerSteiner::build(
-                &g,
-                ApproxWsqConfig {
-                    batch,
-                    parallel: false,
-                    ..ApproxWsqConfig::default()
-                },
-                &mut rng,
-            )
-        };
-        let on = mk(true);
-        let off = mk(false);
-        use rand::Rng;
-        for _ in 0..5 {
-            let q: Vec<NodeId> = (0..4).map(|_| rng.gen_range(0..300)).collect();
-            let a = on.solve(&q).unwrap();
-            let b = off.solve(&q).unwrap();
-            assert_eq!(a.connector.vertices(), b.connector.vertices(), "{q:?}");
-            assert_eq!(a.wiener_index, b.wiener_index);
-        }
     }
 
     #[test]

@@ -152,59 +152,6 @@ proptest! {
         prop_assert_eq!(once, normalize_query(&g, &reversed).unwrap());
     }
 
-    /// Batched vs per-root `ws-q` parity on the paper's evaluation
-    /// families (ER / BA / SBM): routing Algorithm 1's root sweep
-    /// through the multi-source kernel — with parent trees reconstructed
-    /// on demand from the distance matrix — must produce bit-identical
-    /// connectors, objective values, and candidate counts.
-    #[test]
-    fn wsq_batched_matches_per_root_on_families(
-        (family, seed) in (0usize..3, any::<u64>()),
-        q_seed in any::<u64>(),
-    ) {
-        use mwc_core::wsq::{WienerSteiner, WsqConfig};
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let n = 120 + (seed % 80) as usize;
-        let raw = match family {
-            0 => mwc_graph::generators::gnp(n, 0.04, &mut rng),
-            1 => mwc_graph::generators::barabasi_albert(n, 3, &mut rng),
-            _ => {
-                let third = n / 3;
-                mwc_graph::generators::planted_partition(
-                    &[third, third, n - 2 * third],
-                    0.12,
-                    0.01,
-                    &mut rng,
-                )
-                .graph
-            }
-        };
-        // Query inside one component so both paths solve (parity on the
-        // rejection path is covered by unit tests).
-        let (g, _) = mwc_graph::connectivity::largest_component_graph(&raw).unwrap();
-        prop_assume!(g.num_nodes() >= 8);
-        let mut qrng = rand::rngs::StdRng::seed_from_u64(q_seed);
-        let size = qrng.gen_range(2..=5usize);
-        let q: Vec<NodeId> = (0..size)
-            .map(|_| qrng.gen_range(0..g.num_nodes() as NodeId))
-            .collect();
-        let solve = |batch: bool| {
-            WienerSteiner::with_config(
-                &g,
-                WsqConfig { batch, parallel: false, ..WsqConfig::default() },
-            )
-            .solve(&q)
-            .unwrap()
-        };
-        let on = solve(true);
-        let off = solve(false);
-        prop_assert_eq!(on.connector.vertices(), off.connector.vertices());
-        prop_assert_eq!(on.wiener_index, off.wiener_index);
-        prop_assert_eq!(on.num_candidates, off.num_candidates);
-        prop_assert_eq!(on.best_root, off.best_root);
-    }
-
     /// Coalesced-group parity: packing heterogeneous concurrent queries
     /// into one `solve_group` window — shared cross-request MS-BFS sweeps,
     /// within-window dedup, mixed solvers and options — must answer every

@@ -77,7 +77,8 @@ pub struct CoalesceConfig {
     pub window: Duration,
     /// Size trigger: flush early once the gathered requests' root-BFS
     /// work is estimated to fill this many MS-BFS lanes (one lane per
-    /// query vertex). Defaults to the kernel's lane width.
+    /// query vertex). Defaults to the kernel's lane width, which is also
+    /// the most roots one `QueryEngine::solve_group` window prefetches.
     pub max_lanes: usize,
     /// Hard cap on requests parked per graph; beyond it new arrivals
     /// bypass to direct execution instead of queueing without bound.

@@ -1288,6 +1288,9 @@ fn execute(inner: &Arc<Inner>, job: &Job) -> Result<Vec<(&'static str, Json)>, S
                             slots[i] = Some(match r {
                                 Ok(report) => {
                                     ok += 1;
+                                    // `seconds` counts from the start of
+                                    // the group's engine window, as for a
+                                    // coalesced solve.
                                     inner.metrics.record_solve(
                                         &params.solver,
                                         Duration::from_secs_f64(report.seconds),

@@ -320,6 +320,32 @@ fn malformed_requests_get_structured_errors() {
     handle.shutdown();
 }
 
+/// A solver refusing a query answers with an error line and the worker
+/// survives: `ppr` on an empty query must not take down the worker that
+/// serves the connection's later requests.
+#[test]
+fn empty_ppr_query_is_an_error_and_the_connection_keeps_serving() {
+    let handle = start_two_graph_server(ServerConfig::default());
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let response = client
+        .roundtrip_line(r#"{"cmd":"solve","graph":"karate","solver":"ppr","q":[]}"#)
+        .unwrap();
+    let v = mwc_service::json::parse(response.trim()).unwrap();
+    assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
+    assert_eq!(
+        v.get("error").unwrap().get("code").unwrap().as_str(),
+        Some("infeasible")
+    );
+    let r = client
+        .solve("karate", "ws-q", &[0, 33], None, None)
+        .unwrap();
+    assert_eq!(r.solver, "ws-q");
+    handle.shutdown();
+}
+
 /// A newline-free line past `max_line_bytes` is rejected as soon as the
 /// cap is exceeded — the buffer never grows with the client's send rate —
 /// and the connection is closed (framing is lost).

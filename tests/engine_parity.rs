@@ -163,45 +163,49 @@ fn cache_on_and_off_reports_agree_for_every_registered_solver() {
     assert!(stats.hits >= (names.len() * queries.len()) as u64);
 }
 
-/// Engine-level batching parity: `ws-q` with the multi-source batched
-/// root sweep on vs off returns identical `Connector`s for 100 random
-/// queries — on a graph large enough that both the batched and the
-/// direction-optimizing code paths genuinely engage. The batched sweep
-/// is a kernel choice, never a semantic one.
+/// Bad ids are errors for every registered solver, through the engine and
+/// through the raw [`ConnectorSolver`](wiener_connector::core::engine::ConnectorSolver)
+/// trait: an empty query is `EmptyQuery`, an out-of-range id is a graph
+/// error (never a panic), and a repeated id answers like the canonical
+/// query.
 #[test]
-fn wsq_batching_on_and_off_return_identical_connectors_for_100_queries() {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xBA7C4);
-    let g = wiener_connector::graph::generators::barabasi_albert(500, 3, &mut rng);
-    let queries: Vec<Vec<NodeId>> = (0..100)
-        .map(|_| {
-            let size = rng.gen_range(2..=5usize);
-            let mut q: Vec<NodeId> = Vec::new();
-            while q.len() < size {
-                let v = rng.gen_range(0..500u32);
-                if !q.contains(&v) {
-                    q.push(v);
-                }
-            }
-            q
-        })
-        .collect();
-    let mut on_engine = QueryEngine::new(&g);
-    let mut off_engine = QueryEngine::new(&g);
-    on_engine.set_batch_enabled(true);
-    off_engine.set_batch_enabled(false);
-    let opts = QueryOptions::default();
-    let on = on_engine.solve_batch("ws-q", &queries, &opts);
-    let off = off_engine.solve_batch("ws-q", &queries, &opts);
-    for ((q, a), b) in queries.iter().zip(&on).zip(&off) {
-        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-        assert_eq!(
-            a.connector.vertices(),
-            b.connector.vertices(),
-            "batching changed the connector on {q:?}"
+fn every_solver_rejects_bad_ids_and_ignores_duplicates() {
+    use wiener_connector::core::{CoreError, Result, SolveReport};
+    use wiener_connector::service::GraphSource;
+    /// What must agree between two answers (`seconds` is wall time).
+    fn answer(r: Result<SolveReport>) -> std::result::Result<(Vec<NodeId>, u64), String> {
+        r.map(|r| (r.connector.vertices().to_vec(), r.wiener_index))
+            .map_err(|e| format!("{e:?}"))
+    }
+    fn check(at: &str, n: usize, solve: &dyn Fn(&[NodeId]) -> Result<SolveReport>) {
+        assert!(
+            matches!(solve(&[]), Err(CoreError::EmptyQuery)),
+            "{at}: empty query"
         );
-        assert_eq!(a.wiener_index, b.wiener_index, "on {q:?}");
-        assert_eq!(a.candidates, b.candidates, "on {q:?}");
+        assert!(
+            matches!(solve(&[0, n as NodeId]), Err(CoreError::Graph(_))),
+            "{at}: out-of-range id"
+        );
+        assert_eq!(
+            answer(solve(&[16, 3, 11, 3])),
+            answer(solve(&[3, 11, 16])),
+            "{at}: duplicated id"
+        );
+    }
+    for spec in ["karate", "wba:2000x3"] {
+        let g = GraphSource::parse(spec).unwrap().build().unwrap();
+        let engine = wiener_connector::engine(&g);
+        let n = g.num_nodes();
+        for name in engine.solver_names() {
+            check(&format!("{spec} {name} via engine"), n, &|q| {
+                engine.solve_with(name, q, &QueryOptions::new().no_cache())
+            });
+            let solver = engine.solver(name).unwrap();
+            let ctx = engine.context(QueryOptions::default());
+            check(&format!("{spec} {name} via trait"), n, &|q| {
+                solver.solve(&ctx, q)
+            });
+        }
     }
 }
 
